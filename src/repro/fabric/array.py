@@ -31,8 +31,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.fabric.bitstream import decode_array, encode_array
+from repro.fabric.bitstream import (
+    cell_digits,
+    cell_from_digits,
+    decode_array,
+    encode_array,
+)
 from repro.fabric.driver import DRIVER_DELAY, DriverMode
+from repro.fabric.mvram import N_CELLS
 from repro.fabric.nandcell import (
     CellConfig,
     Direction,
@@ -181,6 +187,33 @@ class CellArray:
         for r, row in enumerate(configs):
             for c, cfg in enumerate(row):
                 arr.set_cell(r, c, cfg)
+        return arr
+
+    def to_digits(self) -> bytes:
+        """Every cell's 64 configuration digits, row-major, one per byte.
+
+        The frames of :meth:`to_bitstream` before bit packing, without
+        header or CRC — the compact form the artifact codec stores.
+        """
+        return b"".join(cell_digits(cfg) for row in self.configs for cfg in row)
+
+    @classmethod
+    def from_digits(cls, n_rows: int, n_cols: int, digits: bytes) -> "CellArray":
+        """Inverse of :meth:`to_digits`; every digit is range-checked."""
+        if len(digits) != n_rows * n_cols * N_CELLS:
+            raise ValueError(
+                f"{len(digits)} digits do not fill a {n_rows}x{n_cols} array"
+            )
+        arr = cls.__new__(cls)
+        arr.n_rows, arr.n_cols = int(n_rows), int(n_cols)
+        step = n_cols * N_CELLS
+        arr.configs = [
+            [
+                cell_from_digits(digits[k : k + N_CELLS])
+                for k in range(base, base + step, N_CELLS)
+            ]
+            for base in range(0, n_rows * step, step)
+        ]
         return arr
 
     # ------------------------------------------------------------------

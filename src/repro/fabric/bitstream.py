@@ -25,6 +25,9 @@ does not describe.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import chain
+
 import numpy as np
 
 from repro.fabric.driver import DriverMode
@@ -50,29 +53,121 @@ _OFF_INSEL = 48
 _OFF_PARTNER = 54
 _OFF_TAPS = 55
 _OFF_RESERVED = 59
+_RESERVED = (0,) * (N_CELLS - _OFF_RESERVED)
+
+
+_LEAF = tuple(LeafState(v) for v in range(3))
+_DRIVER = tuple(DriverMode(v) for v in range(4))
+_DIRECTION = tuple(Direction(v) for v in range(2))
+_INSEL = tuple(InputSource(v) for v in range(3))
+_PARTNER = tuple(LfbPartner(v) for v in range(3))
+_BLANK_CELL = CellConfig()
+#: The blank cell's digits: every field 0 except the two unused lfb taps.
+_BLANK_DIGITS = (
+    bytes(_OFF_TAPS)
+    + bytes([_TAP_NONE >> 2, _TAP_NONE & 0b11] * N_LFB)
+    + bytes(_RESERVED)
+)
+
+
+def cell_digits(config: CellConfig) -> bytes:
+    """One CellConfig's 64 quaternary digits as raw bytes, unvalidated.
+
+    The byte-level core of :func:`encode_cell`: :class:`CellArray`
+    packs whole arrays through it (installed configs were validated by
+    :meth:`CellArray.set_cell`), and the artifact codec stores the
+    result as an array's ``array`` section.
+    """
+    if config == _BLANK_CELL:  # most of a compiled array
+        return _BLANK_DIGITS
+    t0, t1 = config.lfb_taps
+    if t0 is None:
+        t0 = _TAP_NONE
+    if t1 is None:
+        t1 = _TAP_NONE
+    return bytes([
+        *chain.from_iterable(config.crosspoints),
+        *config.drivers,
+        *config.directions,
+        *config.input_select,
+        config.lfb_partner,
+        t0 >> 2 & 0b11, t0 & 0b11, t1 >> 2 & 0b11, t1 & 0b11,
+        *_RESERVED,
+    ])
+
+
+def cell_from_digits(digits: bytes) -> CellConfig:
+    """Inverse of :func:`cell_digits`; validates every field strictly."""
+    xpoints, drivers, directions, insel, partner, taps = _cell_fields(
+        bytes(digits)
+    )
+    return CellConfig(
+        crosspoints=[list(row) for row in xpoints],
+        drivers=list(drivers),
+        directions=list(directions),
+        input_select=list(insel),
+        lfb_partner=partner,
+        lfb_taps=list(taps),
+    )
+
+
+@lru_cache(maxsize=4096)
+def _cell_fields(d: bytes) -> tuple:
+    """The validated fields of one cell's digits, as immutable tuples.
+
+    Memoised: a compiled array repeats a handful of cell patterns, so
+    decoding a whole array mostly copies cached fields.
+    """
+    if len(d) != N_CELLS:
+        raise ValueError(f"need {N_CELLS} digits, got {len(d)}")
+    if max(d[_OFF_XPOINT:_OFF_DRIVER]) > 2:
+        k = next(k for k in range(_OFF_DRIVER) if d[k] > 2)
+        raise ValueError(
+            f"crosspoint digit {d[k]} at row {k // N_INPUTS} col "
+            f"{k % N_INPUTS} out of range"
+        )
+    if max(d[_OFF_DRIVER:_OFF_DIRECTION]) > 3:
+        raise ValueError(
+            f"driver digits {list(d[_OFF_DRIVER:_OFF_DIRECTION])} out of range"
+        )
+    if max(d[_OFF_DIRECTION:_OFF_INSEL]) > 1:
+        raise ValueError(
+            f"direction digits {list(d[_OFF_DIRECTION:_OFF_INSEL])} out of range"
+        )
+    if max(d[_OFF_INSEL:_OFF_PARTNER]) > 2:
+        raise ValueError(
+            f"input-select digits {list(d[_OFF_INSEL:_OFF_PARTNER])} out of range"
+        )
+    if d[_OFF_PARTNER] > 2:
+        raise ValueError(f"lfb-partner digit {d[_OFF_PARTNER]} out of range")
+    taps = []
+    for t in range(N_LFB):
+        value = d[_OFF_TAPS + 2 * t] << 2 | d[_OFF_TAPS + 2 * t + 1]
+        if value == _TAP_NONE:
+            taps.append(None)
+        elif value < N_ROWS:
+            taps.append(value)
+        else:
+            raise ValueError(f"lfb tap {t} digit pair encodes {value}, out of range")
+    if any(d[_OFF_RESERVED:]):
+        raise ValueError("reserved digits must be zero")
+    return (
+        tuple(
+            tuple(_LEAF[v] for v in d[k : k + N_INPUTS])
+            for k in range(_OFF_XPOINT, _OFF_DRIVER, N_INPUTS)
+        ),
+        tuple(_DRIVER[v] for v in d[_OFF_DRIVER:_OFF_DIRECTION]),
+        tuple(_DIRECTION[v] for v in d[_OFF_DIRECTION:_OFF_INSEL]),
+        tuple(_INSEL[v] for v in d[_OFF_INSEL:_OFF_PARTNER]),
+        _PARTNER[d[_OFF_PARTNER]],
+        tuple(taps),
+    )
 
 
 def encode_cell(config: CellConfig) -> np.ndarray:
     """Encode one CellConfig into its 64 quaternary digits."""
     config.validate()
-    digits = np.zeros(N_CELLS, dtype=np.uint8)
-    k = _OFF_XPOINT
-    for r in range(N_ROWS):
-        for c in range(N_INPUTS):
-            digits[k] = int(config.crosspoints[r][c])
-            k += 1
-    for r in range(N_ROWS):
-        digits[_OFF_DRIVER + r] = int(config.drivers[r])
-        digits[_OFF_DIRECTION + r] = int(config.directions[r])
-    for c in range(N_INPUTS):
-        digits[_OFF_INSEL + c] = int(config.input_select[c])
-    digits[_OFF_PARTNER] = int(config.lfb_partner)
-    for t in range(N_LFB):
-        tap = config.lfb_taps[t]
-        value = _TAP_NONE if tap is None else int(tap)
-        digits[_OFF_TAPS + 2 * t] = (value >> 2) & 0b11
-        digits[_OFF_TAPS + 2 * t + 1] = value & 0b11
-    return digits
+    return np.frombuffer(cell_digits(config), dtype=np.uint8).copy()
 
 
 def decode_cell(digits) -> CellConfig:
@@ -80,42 +175,9 @@ def decode_cell(digits) -> CellConfig:
     arr = np.asarray(digits, dtype=np.int64)
     if arr.shape != (N_CELLS,):
         raise ValueError(f"need {N_CELLS} digits, got shape {arr.shape}")
-    cfg = CellConfig()
-    k = _OFF_XPOINT
-    for r in range(N_ROWS):
-        for c in range(N_INPUTS):
-            v = int(arr[k])
-            k += 1
-            if v > 2:
-                raise ValueError(f"crosspoint digit {v} at row {r} col {c} out of range")
-            cfg.crosspoints[r][c] = LeafState(v)
-    for r in range(N_ROWS):
-        cfg.drivers[r] = DriverMode(int(arr[_OFF_DRIVER + r]))
-        d = int(arr[_OFF_DIRECTION + r])
-        if d > 1:
-            raise ValueError(f"direction digit {d} at row {r} out of range")
-        cfg.directions[r] = Direction(d)
-    for c in range(N_INPUTS):
-        v = int(arr[_OFF_INSEL + c])
-        if v > 2:
-            raise ValueError(f"input-select digit {v} at column {c} out of range")
-        cfg.input_select[c] = InputSource(v)
-    p = int(arr[_OFF_PARTNER])
-    if p > 2:
-        raise ValueError(f"lfb-partner digit {p} out of range")
-    cfg.lfb_partner = LfbPartner(p)
-    for t in range(N_LFB):
-        value = (int(arr[_OFF_TAPS + 2 * t]) << 2) | int(arr[_OFF_TAPS + 2 * t + 1])
-        if value == _TAP_NONE:
-            cfg.lfb_taps[t] = None
-        elif value < N_ROWS:
-            cfg.lfb_taps[t] = value
-        else:
-            raise ValueError(f"lfb tap {t} digit pair encodes {value}, out of range")
-    if np.any(arr[_OFF_RESERVED:] != 0):
-        raise ValueError("reserved digits must be zero")
-    cfg.validate()
-    return cfg
+    if arr.min() < 0 or arr.max() > 3:
+        raise ValueError(f"digits must be quaternary (0..3), got {arr.tolist()}")
+    return cell_from_digits(arr.astype(np.uint8).tobytes())
 
 
 def cell_to_frame(config: CellConfig) -> np.ndarray:

@@ -44,14 +44,11 @@ from repro.pnr.defects import (
 )
 from repro.pnr.emit import EmitError, emit_design
 from repro.pnr.flow import (
-    RESULT_BLOB_VERSION,
     PnrError,
     PnrResult,
     PnrStats,
     VerificationError,
     compile_to_fabric,
-    result_from_blob,
-    result_to_blob,
     suggest_array,
     suggest_side,
     verify_equivalence,
@@ -101,6 +98,7 @@ from repro.pnr.timing import (
     analyze_timing,
     trace_endpoint,
 )
+from repro.pnr.artifact import RESULT_BLOB_VERSION, decode_result, encode_result
 
 __all__ = [
     "DefectMap",
@@ -120,8 +118,8 @@ __all__ = [
     "RESULT_BLOB_VERSION",
     "VerificationError",
     "compile_to_fabric",
-    "result_from_blob",
-    "result_to_blob",
+    "decode_result",
+    "encode_result",
     "suggest_array",
     "suggest_side",
     "verify_equivalence",

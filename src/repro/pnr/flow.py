@@ -24,8 +24,8 @@ micropipeline tests).
 
 from __future__ import annotations
 
+import dataclasses
 import math
-import pickle
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -56,59 +56,42 @@ from repro.pnr.techmap import MappedDesign, TechMapError, map_netlist
 from repro.pnr.timing import TimingReport, analyze_timing
 
 
-#: Version of the serialised-result envelope produced by
-#: :meth:`PnrResult.to_blob` / ``ShardedPnrResult.to_blob``.  Bump it
-#: whenever a field of the result (or anything it transitively pickles)
-#: changes meaning — old blobs then fail :func:`result_from_blob`'s tag
-#: check instead of deserialising into nonsense.  The persisted
-#: artifact store keys on content hashes, not on this; the version only
-#: guards *decoding*.
-RESULT_BLOB_VERSION = 1
+def lazy_fields(cls):
+    """Class decorator: let a result dataclass decode fields on first touch.
 
-_BLOB_TAG = "repro.pnr.result"
-
-
-def result_to_blob(result) -> bytes:
-    """Serialise a compiled result to a self-describing byte blob.
-
-    The payload is a versioned envelope around a pickle — pickling is
-    faithful here because every field of a result is plain data (arrays,
-    dicts, dataclasses; no sockets, locks or lambdas), and the repo's
-    determinism contract makes it byte-stable: one round-trip through
-    ``result_from_blob`` reproduces identical bitstreams, and
-    re-serialising the round-tripped result reproduces the identical
-    blob (pinned in ``tests/test_service_store.py``).
+    :func:`repro.pnr.artifact.decode_result` builds results whose
+    ``__dict__`` holds only the blob's header fields plus a ``_lazy``
+    loader.  Reading any other field misses ``__dict__`` and falls back
+    to ``__getattr__``, which decodes that field's section once — under
+    the blob's lock, so two threads touching ``result.array`` get the
+    same object — and stores it as a plain attribute; later reads cost
+    nothing.  Field defaults are removed from the class so a missing
+    field falls through too (the generated ``__init__`` keeps them).
+    Pickling or copying a lazy result decodes every field first.
     """
-    kind = type(result).__name__
-    return pickle.dumps(
-        (_BLOB_TAG, RESULT_BLOB_VERSION, kind, result),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
+    for f in dataclasses.fields(cls):
+        if f.name in cls.__dict__:
+            delattr(cls, f.name)
+    cls.__getattr__ = _lazy_getattr
+    cls.__getstate__ = _lazy_getstate
+    return cls
 
 
-def result_from_blob(blob: bytes):
-    """Decode :func:`result_to_blob` output; raises ``ValueError`` on
-    anything that is not a current-version result envelope."""
-    try:
-        payload = pickle.loads(blob)
-    except Exception as e:
-        raise ValueError(f"undecodable result blob: {e}") from e
-    if (
-        not isinstance(payload, tuple)
-        or len(payload) != 4
-        or payload[0] != _BLOB_TAG
-    ):
-        raise ValueError("not a repro.pnr result blob")
-    _, version, kind, result = payload
-    if version != RESULT_BLOB_VERSION:
-        raise ValueError(
-            f"result blob version {version} != {RESULT_BLOB_VERSION}"
+def _lazy_getattr(self, name: str):
+    loader = self.__dict__.get("_lazy")
+    if loader is None or name.startswith("__"):
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
         )
-    if type(result).__name__ != kind:
-        raise ValueError(
-            f"result blob claims {kind} but holds {type(result).__name__}"
-        )
-    return result
+    return loader.load(self, name)
+
+
+def _lazy_getstate(self) -> dict:
+    state = dict(self.__dict__)
+    if state.pop("_lazy", None) is not None:
+        for f in dataclasses.fields(self):
+            state[f.name] = getattr(self, f.name)
+    return state
 
 
 class PnrError(RuntimeError):
@@ -160,6 +143,7 @@ class PnrStats:
         return self.routed_nets / self.total_nets if self.total_nets else 1.0
 
 
+@lazy_fields
 @dataclass
 class PnrResult:
     """A compiled design: the configured array plus its pin mapping.
@@ -204,13 +188,21 @@ class PnrResult:
         return verify_equivalence(self, **kwargs)
 
     def to_blob(self) -> bytes:
-        """Versioned byte serialisation; see :func:`result_to_blob`."""
-        return result_to_blob(self)
+        """Versioned, pickle-free bytes; see :mod:`repro.pnr.artifact`."""
+        from repro.pnr.artifact import encode_result
+
+        return encode_result(self)
 
     @classmethod
     def from_blob(cls, blob: bytes) -> PnrResult:
-        """Decode :meth:`to_blob` output (``ValueError`` on anything else)."""
-        result = result_from_blob(blob)
+        """Decode :meth:`to_blob` output (``ValueError`` on anything else).
+
+        Only the header is decoded here; the other fields decode on
+        first touch (see :func:`lazy_fields`).
+        """
+        from repro.pnr.artifact import decode_result
+
+        result, _ = decode_result(blob)
         if not isinstance(result, cls):
             raise ValueError(
                 f"blob holds {type(result).__name__}, not {cls.__name__}"

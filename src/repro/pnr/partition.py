@@ -62,8 +62,7 @@ from repro.pnr.flow import (
     _compile_mapped,
     _settle_compare,
     _sweep_equivalence,
-    result_from_blob,
-    result_to_blob,
+    lazy_fields,
     suggest_side,
 )
 from repro.pnr.parallel import parallel_map
@@ -544,6 +543,7 @@ class ShardedPnrStats:
         return self.cells_logic + self.cells_route
 
 
+@lazy_fields
 @dataclass
 class ShardedPnrResult:
     """One design compiled across several chiplet arrays.
@@ -672,14 +672,17 @@ class ShardedPnrResult:
         return [s.to_bitstream() for s in self.shards]
 
     def to_blob(self) -> bytes:
-        """Versioned byte serialisation; see
-        :func:`repro.pnr.flow.result_to_blob`."""
-        return result_to_blob(self)
+        """Versioned, pickle-free bytes; see :mod:`repro.pnr.artifact`."""
+        from repro.pnr.artifact import encode_result
+
+        return encode_result(self)
 
     @classmethod
     def from_blob(cls, blob: bytes) -> ShardedPnrResult:
         """Decode :meth:`to_blob` output (``ValueError`` on anything else)."""
-        result = result_from_blob(blob)
+        from repro.pnr.artifact import decode_result
+
+        result, _ = decode_result(blob)
         if not isinstance(result, cls):
             raise ValueError(
                 f"blob holds {type(result).__name__}, not {cls.__name__}"

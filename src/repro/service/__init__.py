@@ -66,10 +66,11 @@ from repro.service.resilience import (
 )
 from repro.service.service import CompileOptions, CompileService, ServiceResult
 from repro.service.session import EditSession, SessionStep
-from repro.service.store import ArtifactStore, StoreKeyError
+from repro.service.store import ArtifactStore, CacheEntry, StoreKeyError
 
 __all__ = [
     "ArtifactStore",
+    "CacheEntry",
     "CompileOptions",
     "CompileService",
     "CompileTimeout",

@@ -97,7 +97,7 @@ from repro.service.resilience import (
     ServiceOverloaded,
     is_transient,
 )
-from repro.service.store import ArtifactStore
+from repro.service.store import ArtifactStore, CacheEntry
 
 __all__ = ["CompileOptions", "CompileService", "ServiceResult"]
 
@@ -167,20 +167,6 @@ class CompileOptions:
 
 
 @dataclass(frozen=True)
-class _CacheEntry:
-    """What the cache stores: the artifact plus its netlist's port order."""
-
-    result: object  # PnrResult | ShardedPnrResult
-    input_ports: tuple[str, ...]
-    output_ports: tuple[str, ...]
-    incremental: bool = False
-    repaired: bool = False
-    #: Degraded entries (golden served in place of an exhausted die
-    #: repair) are handed to the submitter but never cached/persisted.
-    degraded: bool = False
-
-
-@dataclass(frozen=True)
 class ServiceResult:
     """One submission's view of a compiled artifact.
 
@@ -232,7 +218,7 @@ class ServiceResult:
 
 
 def _remap_ports(
-    entry: _CacheEntry, inputs: tuple[str, ...], outputs: tuple[str, ...]
+    entry: CacheEntry, inputs: tuple[str, ...], outputs: tuple[str, ...]
 ) -> tuple[dict, dict]:
     """Translate the entry's pin maps to the requester's port names.
 
@@ -492,7 +478,7 @@ class CompileService:
             return self._pending >= self._max_pending
 
     # -- the persisted tier ---------------------------------------------
-    def _store_get(self, key: tuple) -> _CacheEntry | None:
+    def _store_get(self, key: tuple) -> CacheEntry | None:
         """Probe the persisted tier (miss when no store is attached).
 
         A hit is promoted into the in-memory cache and counted under
@@ -523,7 +509,7 @@ class CompileService:
             self.cache.put(key, entry)
         return entry
 
-    def _store_put(self, key: tuple, entry: _CacheEntry) -> None:
+    def _store_put(self, key: tuple, entry: CacheEntry) -> None:
         """Publish an artifact; disk trouble must not fail the compile.
 
         Transient failures retry, then degrade: a full or read-only
@@ -669,7 +655,7 @@ class CompileService:
         req_outputs = tuple(netlist.outputs)
 
         def view(
-            entry: _CacheEntry, *, cached: bool, coalesced: bool,
+            entry: CacheEntry, *, cached: bool, coalesced: bool,
             from_store: bool = False,
         ):
             in_wires, out_wires = _remap_ports(entry, req_inputs, req_outputs)
@@ -741,7 +727,7 @@ class CompileService:
                         return
                     self._bump("compiles")
                     result = self._compile_cold(netlist, options, token=token)
-                    entry = _CacheEntry(
+                    entry = CacheEntry(
                         result=result,
                         input_ports=req_inputs,
                         output_ports=req_outputs,
@@ -852,7 +838,7 @@ class CompileService:
         req_outputs = tuple(netlist.outputs)
 
         def view(
-            entry: _CacheEntry, *, cached: bool, coalesced: bool,
+            entry: CacheEntry, *, cached: bool, coalesced: bool,
             from_store: bool = False,
         ):
             in_wires, out_wires = _remap_ports(entry, req_inputs, req_outputs)
@@ -944,13 +930,13 @@ class CompileService:
             compiled.set_exception(e)
             return self._track(mine)
 
-        def degraded_entry() -> _CacheEntry:
+        def degraded_entry() -> CacheEntry:
             # Serve the golden artifact as a marked stand-in.  Its
             # port spelling is the golden source's (the same remap
             # contract as the repair path); it is handed to waiters
             # but never cached or persisted — the die deserves its
             # real repair when pressure subsides.
-            return _CacheEntry(
+            return CacheEntry(
                 result=golden.result,
                 input_ports=tuple(golden.result.source.inputs),
                 output_ports=tuple(golden.result.source.outputs),
@@ -1002,7 +988,7 @@ class CompileService:
                     # this submission), so the entry's port order must
                     # come from the artifact — the requester's spelling
                     # is remapped per view.
-                    entry = _CacheEntry(
+                    entry = CacheEntry(
                         result=result,
                         input_ports=tuple(result.source.inputs),
                         output_ports=tuple(result.source.outputs),
@@ -1078,7 +1064,7 @@ class CompileService:
     ) -> ServiceResult:
         """:meth:`recompile` body, inside its accounting bracket."""
 
-        def cached_view(entry: _CacheEntry, *, from_store: bool):
+        def cached_view(entry: CacheEntry, *, from_store: bool):
             in_w, out_w = _remap_ports(
                 entry, tuple(netlist.inputs), tuple(netlist.outputs)
             )
@@ -1121,7 +1107,7 @@ class CompileService:
             self._bump("incremental_fallbacks")
             return self.compile(netlist, options)
         self._bump("incremental_compiles")
-        entry = _CacheEntry(
+        entry = CacheEntry(
             result=result,
             input_ports=tuple(netlist.inputs),
             output_ports=tuple(netlist.outputs),

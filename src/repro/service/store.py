@@ -2,7 +2,7 @@
 
 The in-memory :class:`repro.service.ResultCache` dies with its service;
 :class:`ArtifactStore` is the tier below it — a content-addressed,
-on-disk mapping from the service's cache keys to pickled artifacts, so
+on-disk mapping from the service's cache keys to compiled artifacts, so
 a restarted service (or a sibling process sharing the directory) serves
 previously compiled designs **byte-identically with zero recompiles**.
 The determinism contract makes this safe by construction: every
@@ -22,37 +22,48 @@ Four properties carry the contract (proven in
 * **atomic publication** — a blob is staged to a temporary file in the
   store and ``os.replace``\\ d into its final path, so readers (in this
   process or another) only ever see a complete blob or none at all;
-* **verified integrity** — every blob embeds the SHA-256 of its
-  payload; :meth:`ArtifactStore.get` recomputes and compares it before
-  unpickling.  A truncated, bit-flipped or otherwise malformed blob is
-  **quarantined** (moved aside, counted) and reported as a plain miss —
-  corruption can cost a recompile, never a crash or a wrong artifact;
+* **verified integrity, no code from disk** — every blob embeds the
+  SHA-256 of its payload; :meth:`ArtifactStore.get` recomputes and
+  compares it before decoding.  The payload is a
+  :mod:`repro.pnr.artifact` blob — JSON, zlib and configuration digits,
+  never a pickle — so loading runs no code the file supplies.  A
+  truncated, bit-flipped or otherwise malformed blob (a pickle
+  included) is **quarantined** (moved aside, counted) and reported as a
+  plain miss — corruption can cost a recompile, never a crash or a
+  wrong artifact.  A blob of an older envelope version is a plain miss
+  that the next publication overwrites;
 * **budgeted LRU eviction** — ``max_entries`` / ``max_bytes`` bound the
   store; :meth:`put` evicts least-recently-used blobs (recency is
   bumped on every hit) until the budget holds, returning the evicted
   keys exactly like :meth:`repro.service.ResultCache.put`, and the
   counters satisfy the same identity (``lookups == hits + misses``).
 
-Quickstart (any picklable value can be stored; the compile service
-stores its cache entries):
+Values are :class:`CacheEntry` objects — a compiled result plus its
+netlist's port order and provenance flags, exactly what the compile
+service caches.  Only the blob's small header is decoded on a hit; the
+result's bulky fields (array, routes, ...) decode on first touch:
 
 >>> import tempfile
->>> from repro.service.store import ArtifactStore
+>>> from repro.datapath.adder import ripple_carry_netlist
+>>> from repro.pnr import compile_to_fabric
+>>> from repro.service.store import ArtifactStore, CacheEntry
+>>> nl = ripple_carry_netlist(2)
+>>> entry = CacheEntry(compile_to_fabric(nl, seed=0, workers=0),
+...                    tuple(nl.inputs), tuple(nl.outputs))
 >>> root = tempfile.mkdtemp()
 >>> store = ArtifactStore(root, max_entries=2)
->>> store.put(("rca8", ("opts", 0)), {"cycle": 141})
+>>> store.put(("rca2", ("opts", 0)), entry)
 []
->>> store.get(("rca8", ("opts", 0)))
-{'cycle': 141}
->>> ArtifactStore(root).get(("rca8", ("opts", 0)))   # a fresh process
-{'cycle': 141}
->>> store.put(("k2",), "b") + store.put(("k3",), "c")  # evicts the LRU
-[('rca8', ('opts', 0))]
->>> store.get(("rca8", ("opts", 0))) is None
+>>> back = ArtifactStore(root).get(("rca2", ("opts", 0)))  # a fresh process
+>>> back.result.stats == entry.result.stats, back.input_ports == entry.input_ports
+(True, True)
+>>> store.put(("k2",), entry) + store.put(("k3",), entry)  # evicts the LRU
+[('rca2', ('opts', 0))]
+>>> store.get(("rca2", ("opts", 0))) is None
 True
 >>> s = store.stats()
 >>> (s["entries"], s["hits"], s["misses"], s["evictions"])
-(2, 1, 1, 1)
+(2, 0, 1, 1)
 
 See ``docs/artifact-store.md`` for the on-disk layout, the corruption
 semantics and a worked two-process session.
@@ -63,18 +74,20 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.pnr.artifact import decode_result, encode_result
 from repro.pnr.parallel import fault_point
 
 __all__ = [
     "ARTIFACT_STORE_VERSION",
     "ArtifactStore",
+    "CacheEntry",
     "StoreKeyError",
     "decode_key",
     "encode_key",
@@ -82,12 +95,16 @@ __all__ = [
 ]
 
 #: Version of the on-disk envelope (magic line + meta + payload).  A
-#: bump makes every existing blob read as a miss — the store-level
-#: analogue of ``CANONICAL_HASH_VERSION`` bumping the cache keys.
-ARTIFACT_STORE_VERSION = 1
+#: bump makes every existing blob read as a plain miss (not a
+#: quarantine) that the next publication of its key overwrites — the
+#: store-level analogue of ``CANONICAL_HASH_VERSION`` bumping the cache
+#: keys.  Version 1 held a pickle; version 2 holds a
+#: :mod:`repro.pnr.artifact` blob.
+ARTIFACT_STORE_VERSION = 2
 
 #: First line of every blob: magic token + envelope version.
-_MAGIC = f"REPROART {ARTIFACT_STORE_VERSION}".encode()
+_MAGIC_TOKEN = b"REPROART "
+_MAGIC = _MAGIC_TOKEN + str(ARTIFACT_STORE_VERSION).encode()
 
 #: File name suffix of published blobs under ``objects/``.
 _SUFFIX = ".art"
@@ -95,6 +112,24 @@ _SUFFIX = ".art"
 
 class StoreKeyError(TypeError):
     """The key is not encodable (only tuples of JSON scalars are)."""
+
+
+@dataclass(frozen=True)
+class CacheEntry:
+    """What the cache and the store hold: an artifact plus its port order."""
+
+    result: object  # PnrResult | ShardedPnrResult
+    input_ports: tuple[str, ...]
+    output_ports: tuple[str, ...]
+    incremental: bool = False
+    repaired: bool = False
+    #: Degraded entries (golden served in place of an exhausted die
+    #: repair) are handed to the submitter but never cached/persisted.
+    degraded: bool = False
+
+
+class _StaleBlob(Exception):
+    """A blob of another envelope version: a miss, not corruption."""
 
 
 def encode_key(key: Any) -> Any:
@@ -160,7 +195,9 @@ class ArtifactStore:
         quarantine/<name>          corrupt blobs moved aside on load
 
     Every blob is ``REPROART <version>`` + a JSON meta line (the
-    encoded key, the payload's SHA-256 and size) + the pickled payload.
+    encoded key, the payload's SHA-256 and size) + the payload, a
+    :mod:`repro.pnr.artifact` blob whose header carries the entry's
+    ports and flags.
     """
 
     def __init__(
@@ -249,9 +286,21 @@ class ArtifactStore:
 
     # -- the envelope ---------------------------------------------------
     @staticmethod
-    def _encode_blob(key: Any, payload: bytes) -> bytes:
+    def _encode_blob(key: Any, entry: CacheEntry) -> bytes:
+        encoded_key = encode_key(key)
+        if not isinstance(entry, CacheEntry):
+            raise TypeError(
+                f"the store holds CacheEntry values, got {type(entry).__name__}"
+            )
+        payload = encode_result(entry.result, meta={
+            "input_ports": entry.input_ports,
+            "output_ports": entry.output_ports,
+            "incremental": entry.incremental,
+            "repaired": entry.repaired,
+            "degraded": entry.degraded,
+        })
         meta = {
-            "key": encode_key(key),
+            "key": encoded_key,
             "sha256": hashlib.sha256(payload).hexdigest(),
             "size": len(payload),
         }
@@ -259,10 +308,18 @@ class ArtifactStore:
         return _MAGIC + b"\n" + meta_line + b"\n" + payload
 
     @staticmethod
-    def _decode_blob(blob: bytes) -> tuple[Any, Any]:
-        """``(key, value)`` of a verified envelope; raises on any defect."""
+    def _decode_blob(blob: bytes) -> CacheEntry:
+        """The entry of a verified envelope; raises on any defect.
+
+        Raises :class:`_StaleBlob` for another envelope version, and
+        anything else for a corrupt blob.  Only the result's header is
+        decoded here; the SHA-256 check covers the whole payload, so a
+        lazily decoded section cannot turn out corrupt later.
+        """
         magic, _, rest = blob.partition(b"\n")
         if magic != _MAGIC:
+            if magic.startswith(_MAGIC_TOKEN) and magic[len(_MAGIC_TOKEN):].isdigit():
+                raise _StaleBlob(magic.decode())
             raise ValueError(f"bad magic line {magic[:32]!r}")
         meta_line, sep, payload = rest.partition(b"\n")
         if not sep:
@@ -275,7 +332,25 @@ class ArtifactStore:
         digest = hashlib.sha256(payload).hexdigest()
         if digest != meta["sha256"]:
             raise ValueError("payload digest mismatch")
-        return decode_key(meta["key"]), pickle.loads(payload)
+        result, flags = decode_result(payload)
+        return CacheEntry(
+            result=result,
+            input_ports=tuple(flags["input_ports"]),
+            output_ports=tuple(flags["output_ports"]),
+            incremental=bool(flags["incremental"]),
+            repaired=bool(flags["repaired"]),
+            degraded=bool(flags["degraded"]),
+        )
+
+    def _load(self, path: Path, blob: bytes) -> CacheEntry | None:
+        """Decode a read blob; quarantine corruption; ``None`` = miss."""
+        try:
+            return self._decode_blob(blob)
+        except _StaleBlob:
+            return None
+        except Exception as e:  # noqa: BLE001 - any defect is a miss
+            self._quarantine_blob(path, e)
+            return None
 
     def _read_key(self, path: Path) -> Any:
         """The key recorded in a blob's meta line (no payload verify)."""
@@ -302,10 +377,12 @@ class ArtifactStore:
     def get(self, key: Any, default: Any = None) -> Any:
         """Load and verify a blob; bump recency; count a hit or a miss.
 
-        A missing file is a miss.  A file that fails *any* integrity
-        check — magic, meta, size, payload digest, unpickling — is
-        quarantined and reported as a miss: corruption degrades to a
-        recompile, never to an exception or a wrong artifact.
+        A missing file is a miss, and so is a blob of another envelope
+        version.  A file that fails *any* integrity check — magic,
+        meta, size, payload digest, the result header — is quarantined
+        and reported as a miss: corruption degrades to a recompile,
+        never to an exception or a wrong artifact.  Nothing read from
+        disk is executed: the payload is JSON, zlib and digits.
 
         The ``store.load`` fault point sits between the read and the
         verification, so an injected corruption exercises the real
@@ -322,28 +399,24 @@ class ArtifactStore:
                 self.misses += 1
                 return default
             blob = fault_point("store.load", token=digest, data=blob)
-            try:
-                _, value = self._decode_blob(blob)
-            except Exception as e:  # noqa: BLE001 - any defect is a miss
-                self._quarantine_blob(path, e)
+            entry = self._load(path, blob)
+            if entry is None:
                 self.misses += 1
                 return default
             self._touch(path)
             self.hits += 1
-            return value
+            return entry
 
     def peek(self, key: Any, default: Any = None) -> Any:
         """Load without touching recency or hit/miss counters."""
         path = self.path_of(key)
         with self._lock:
             try:
-                _, value = self._decode_blob(path.read_bytes())
+                blob = path.read_bytes()
             except OSError:
                 return default
-            except Exception as e:  # noqa: BLE001 - any defect is a miss
-                self._quarantine_blob(path, e)
-                return default
-            return value
+            entry = self._load(path, blob)
+            return default if entry is None else entry
 
     def __contains__(self, key: Any) -> bool:
         return self.path_of(key).exists()
@@ -352,10 +425,11 @@ class ArtifactStore:
         with self._lock:
             return len(self._scan())
 
-    def put(self, key: Any, value: Any) -> list[Any]:
+    def put(self, key: Any, value: CacheEntry) -> list[Any]:
         """Publish a blob atomically; evict past the budget.
 
-        The value is pickled into a self-verifying envelope, staged to
+        The entry is encoded (:func:`repro.pnr.artifact.encode_result`)
+        into a self-verifying envelope, staged to
         a temporary file and ``os.replace``\\ d into place — a reader in
         any process sees the old blob, the new blob, or none; never a
         torn write.  Returns the keys evicted to restore the budget
@@ -376,8 +450,7 @@ class ArtifactStore:
         or the complete new one — never a torn write; the fault sweep
         in ``tests/test_resilience.py`` pins all three.
         """
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        blob = self._encode_blob(key, payload)
+        blob = self._encode_blob(key, value)
         digest = key_digest(key)
         with self._lock:
             blob = fault_point("store.publish", token=digest, data=blob)
@@ -418,6 +491,8 @@ class ArtifactStore:
         loop naturally never removes it while any older blob remains.
         """
         evicted: list[Any] = []
+        if self.max_entries is None and self.max_bytes is None:
+            return evicted  # unbounded: no need to list the store
         entries = self._scan()
         total = sum(size for _, size, _ in entries)
         while entries and (

@@ -1,0 +1,383 @@
+"""The pickle-free artifact codec (``repro.pnr.artifact``) and its store.
+
+Three layers of proof:
+
+* **round trip** — rca8, mul3, a repaired rca8 die and each shard of a
+  sharded rca8 decode to equal ``stats``, ``routes``, ``placement``,
+  ``design``, ``timing``, source netlist and router state, with a
+  byte-identical bitstream, and re-encode to the identical blob;
+* **warm starts from disk** — ``compile_incremental`` and
+  ``repair_for_die`` give the same bitstream from a store-loaded base as
+  from the in-memory one, and lazy sections decode once under threads;
+* **security** — the store never runs code it reads: a pickle payload
+  with a side-effecting ``__reduce__`` is a quarantined miss (and a
+  ``ValueError`` for ``PnrResult.from_blob``) whose side effect never
+  runs; a blob written by the pickle-era envelope is a clean miss that
+  the service recompiles to identical bytes; a section that inflates
+  past its declared size raises ``ValueError``.
+"""
+
+import hashlib
+import json
+import pickle
+import threading
+import zlib
+
+import pytest
+
+from repro.datapath.adder import ripple_carry_netlist
+from repro.datapath.multiplier import array_multiplier_netlist
+from repro.netlist import Netlist
+from repro.pnr import (
+    PnrResult,
+    ShardedPnrResult,
+    compile_incremental,
+    compile_sharded,
+    compile_to_fabric,
+    decode_result,
+    encode_result,
+    repair_for_die,
+    sample_defect_map,
+)
+from repro.service import CacheEntry, CompileOptions, CompileService
+from repro.service.store import ArtifactStore, encode_key
+
+
+# ---------------------------------------------------------------------------
+# fixtures and comparison helpers
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def rca8():
+    return compile_to_fabric(ripple_carry_netlist(8), seed=0, workers=0)
+
+
+@pytest.fixture(scope="module")
+def mul3():
+    return compile_to_fabric(array_multiplier_netlist(3), seed=0, workers=0)
+
+
+def _die():
+    # rca8's golden array is 31x31; a warm-repairable handful of defects.
+    return sample_defect_map(
+        31, 31, cell_fail=0.0015, wire_fail=0.0006, stuck_fail=0.0006, seed=7
+    )
+
+
+@pytest.fixture(scope="module")
+def repaired(rca8):
+    return repair_for_die(rca8, _die())
+
+
+@pytest.fixture(scope="module")
+def sharded():
+    return compile_sharded(ripple_carry_netlist(8), 2, seed=0, workers=0)
+
+
+def _netlist_view(nl: Netlist):
+    return (
+        nl.name, nl.net_names(), nl.inputs, nl.outputs, nl.cells,
+        [(n, nl.drivers_of(n), nl.readers_of(n)) for n in nl.net_names()],
+    )
+
+
+def _state_view(res: PnrResult):
+    state = dict(vars(res.routing_state))
+    assert state.pop("design") is res.design
+    assert state.pop("placement") is res.placement
+    return state
+
+
+def _bits(res) -> bytes:
+    return res.to_bitstream().tobytes()
+
+
+def _assert_same(back: PnrResult, res: PnrResult) -> None:
+    assert back.stats == res.stats
+    assert back.region == res.region
+    assert back.input_wires == res.input_wires
+    assert back.output_wires == res.output_wires
+    assert back.reset_wire == res.reset_wire
+    assert back.routes == res.routes
+    assert back.placement == res.placement
+    assert back.design == res.design
+    assert back.timing == res.timing
+    assert _netlist_view(back.source) == _netlist_view(res.source)
+    assert _state_view(back) == _state_view(res)
+    assert _bits(back) == _bits(res)
+    # Journals restore their exact tuples and Direction members, not
+    # look-alike lists and ints.
+    for net, route in res.routes.items():
+        for got, want in zip(back.routes[net].ops, route.ops, strict=True):
+            assert list(map(type, got)) == list(map(type, want))
+
+
+# ---------------------------------------------------------------------------
+# round trip
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("which", ["rca8", "mul3", "repaired"])
+def test_round_trip_is_exact_and_re_encodes_identically(which, request):
+    res = request.getfixturevalue(which)
+    blob = res.to_blob()
+    back = PnrResult.from_blob(blob)
+    _assert_same(back, res)
+    assert back.to_blob() == blob
+
+
+def test_repaired_die_keeps_its_defect_map(repaired):
+    back = PnrResult.from_blob(repaired.to_blob())
+    assert back.routing_state.defects == _die()
+
+
+def test_each_shard_of_a_sharded_result_round_trips(sharded):
+    blob = sharded.to_blob()
+    back = ShardedPnrResult.from_blob(blob)
+    assert back.stats == sharded.stats
+    assert len(back.shards) == len(sharded.shards) == 2
+    for got, want in zip(back.shards, sharded.shards):
+        _assert_same(got, want)
+    assert back.channels == sharded.channels
+    assert back.timing == sharded.timing
+    assert back.partition.assignment == sharded.partition.assignment
+    assert back.partition.cut_nets == sharded.partition.cut_nets
+    assert back.input_wires == sharded.input_wires
+    assert back.output_wires == sharded.output_wires
+    assert back.to_blob() == blob
+
+
+def test_a_hit_decodes_only_the_header(rca8):
+    back, meta = decode_result(encode_result(rca8, meta={"k": [1, 2]}))
+    assert meta == {"k": [1, 2]}
+    assert set(vars(back)) == {
+        "region", "input_wires", "output_wires", "reset_wire", "stats", "_lazy",
+    }
+    assert back.stats == rca8.stats  # the header alone answers this
+    back.routes
+    assert "routes" in vars(back) and "array" not in vars(back)
+
+
+def test_blob_is_a_fraction_of_the_pickle(rca8):
+    assert len(rca8.to_blob()) * 5 < len(pickle.dumps(rca8))
+
+
+def test_lazy_result_pickles_and_copies_fully(rca8):
+    back = PnrResult.from_blob(rca8.to_blob())
+    again = pickle.loads(pickle.dumps(back))
+    assert "_lazy" not in vars(again)
+    _assert_same(again, rca8)
+
+
+# ---------------------------------------------------------------------------
+# warm starts from a store-loaded base
+# ---------------------------------------------------------------------------
+
+def _complement_first_and(nl: Netlist) -> Netlist:
+    flip = next(c for c in nl.cells if c.kind == "and").name
+    out = Netlist(nl.name)
+    for p in nl.inputs:
+        out.add_input(p)
+    for p in nl.outputs:
+        out.add_output(p)
+    for c in nl.cells:
+        kind = "nand" if c.name == flip else c.kind
+        out.add(kind, c.name, list(c.inputs), c.output,
+                delay=c.delay, **dict(c.params))
+    return out
+
+
+def _from_store(tmp_path, res) -> PnrResult:
+    store = ArtifactStore(tmp_path)
+    nl = res.source
+    store.put(("base",), CacheEntry(res, tuple(nl.inputs), tuple(nl.outputs)))
+    loaded = ArtifactStore(tmp_path).get(("base",)).result
+    assert "routes" not in vars(loaded)  # nothing decoded yet
+    return loaded
+
+
+@pytest.mark.parametrize("which", ["rca8", "mul3"])
+def test_incremental_from_a_store_loaded_base(tmp_path, which, request):
+    base = request.getfixturevalue(which)
+    edited = _complement_first_and(base.source)
+    want = compile_incremental(edited, base, seed=3)
+    got = compile_incremental(edited, _from_store(tmp_path, base), seed=3)
+    assert _bits(got) == _bits(want)
+    assert got.stats == want.stats
+
+
+def test_repair_from_a_store_loaded_golden(tmp_path, rca8, repaired):
+    got = repair_for_die(_from_store(tmp_path, rca8), _die())
+    assert _bits(got) == _bits(repaired)
+    assert got.to_blob() == repaired.to_blob()
+
+
+def test_two_threads_touching_one_section_get_one_object(rca8):
+    for _ in range(5):
+        back = PnrResult.from_blob(rca8.to_blob())
+        barrier = threading.Barrier(2)
+        seen = []
+
+        def touch():
+            barrier.wait()
+            seen.append(back.array)
+
+        threads = [threading.Thread(target=touch) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(seen) == 2 and seen[0] is seen[1]
+
+
+# ---------------------------------------------------------------------------
+# security and corruption
+# ---------------------------------------------------------------------------
+
+FIRED = []
+
+
+def _side_effect():
+    FIRED.append("ran")
+    return {"pwned": True}
+
+
+class _Payload:
+    def __reduce__(self):
+        return (_side_effect, ())
+
+
+def _envelope(magic: bytes, key, payload: bytes) -> bytes:
+    meta = {
+        "key": encode_key(key),
+        "sha256": hashlib.sha256(payload).hexdigest(),
+        "size": len(payload),
+    }
+    return magic + b"\n" + json.dumps(meta, separators=(",", ":")).encode() \
+        + b"\n" + payload
+
+
+def test_pickle_payload_is_a_quarantined_miss_that_never_runs(tmp_path):
+    FIRED.clear()
+    payload = pickle.dumps(_Payload())
+    assert pickle.loads(payload) == {"pwned": True} and FIRED == ["ran"]
+    FIRED.clear()
+    store = ArtifactStore(tmp_path)
+    key = ("evil", ("opts", 0))
+    path = store.path_of(key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # A well-formed current envelope: magic, key and digest all check
+    # out, so only the payload decoder stands between the file and code.
+    path.write_bytes(_envelope(b"REPROART 2", key, payload))
+    assert store.get(key) is None
+    assert store.peek(key) is None
+    assert FIRED == []
+    s = store.stats()
+    assert (s["quarantined"], s["misses"], s["hits"]) == (1, 1, 0)
+    assert not path.exists()
+
+
+def test_from_blob_refuses_a_pickle_payload():
+    FIRED.clear()
+    payload = pickle.dumps(_Payload())
+    with pytest.raises(ValueError):
+        PnrResult.from_blob(payload)
+    with pytest.raises(ValueError):
+        ShardedPnrResult.from_blob(payload)
+    assert FIRED == []
+
+
+def test_pickle_era_blob_is_a_clean_miss_and_recompiles_identically(tmp_path):
+    nl = ripple_carry_netlist(4)
+    with CompileService(workers=0) as svc:
+        reference = svc.compile(nl).bitstreams()
+        key = svc.job_key(nl, CompileOptions())
+    # What the previous envelope version wrote: "REPROART 1" around a
+    # pickled entry.
+    FIRED.clear()
+    path = ArtifactStore(tmp_path).path_of(key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(_envelope(b"REPROART 1", key, pickle.dumps(_Payload())))
+    with CompileService(workers=0, store=tmp_path) as svc:
+        served = svc.compile(nl)
+        stats = svc.stats()
+    assert FIRED == []
+    assert served.bitstreams() == reference
+    assert not served.from_store
+    assert stats["compiles"] == 1
+    store_stats = stats["store"]
+    assert (store_stats["misses"], store_stats["quarantined"]) == (1, 0)
+    # The recompile overwrote the stale blob: the next life hits.
+    with CompileService(workers=0, store=tmp_path) as svc:
+        again = svc.compile(nl)
+    assert again.from_store and again.bitstreams() == reference
+
+
+def _rebuild(blob: bytes, edit) -> bytes:
+    """Re-assemble a blob after ``edit(header, sections)`` mutates it."""
+    magic, rest = blob.split(b"\n", 1)
+    head, body = rest.split(b"\n", 1)
+    header = json.loads(head)
+    sections, offset = {}, 0
+    for name, stored, size in header["sections"]:
+        sections[name] = zlib.decompress(body[offset : offset + stored])
+        offset += stored
+    edit(header, sections)
+    table, payload = [], []
+    for name, _, size in header["sections"]:
+        packed = zlib.compress(sections[name])
+        table.append([name, len(packed), size])
+        payload.append(packed)
+    header["sections"] = table
+    return b"\n".join([magic, json.dumps(header).encode(), b"".join(payload)])
+
+
+def test_section_larger_than_declared_raises(rca8):
+    def grow(header, sections):
+        sections["array"] += b"\0" * 64  # one extra cell's worth
+
+    back = PnrResult.from_blob(_rebuild(rca8.to_blob(), grow))
+    assert back.stats == rca8.stats  # the header is intact
+    with pytest.raises(ValueError, match="larger than its declared"):
+        back.array
+
+
+def test_section_shorter_than_declared_raises(rca8):
+    def shrink(header, sections):
+        sections["routes"] = sections["routes"][:-4]
+
+    back = PnrResult.from_blob(_rebuild(rca8.to_blob(), shrink))
+    with pytest.raises(ValueError):
+        back.routes
+
+
+def test_declared_size_beyond_deflate_limits_is_refused(rca8):
+    def inflate_claim(header, sections):
+        for entry in header["sections"]:
+            entry[2] = 10**12
+
+    with pytest.raises(ValueError, match="bad section entry"):
+        PnrResult.from_blob(_rebuild(rca8.to_blob(), inflate_claim))
+
+
+@pytest.mark.parametrize("spoil", ["truncate", "extend", "header"])
+def test_structural_damage_fails_at_decode(rca8, spoil):
+    blob = rca8.to_blob()
+    if spoil == "truncate":
+        blob = blob[:-10]
+    elif spoil == "extend":
+        blob += b"\0"
+    else:
+        blob = blob.replace(b'"kind":"PnrResult"', b'"kind":"Nope"', 1)
+    with pytest.raises(ValueError):
+        PnrResult.from_blob(blob)
+
+
+def test_bad_digit_in_the_array_section_raises(rca8):
+    def poke(header, sections):
+        digits = bytearray(sections["array"])
+        digits[0] = 3  # crosspoint digits are 0..2
+        sections["array"] = bytes(digits)
+
+    back = PnrResult.from_blob(_rebuild(rca8.to_blob(), poke))
+    with pytest.raises(ValueError, match="crosspoint"):
+        back.array

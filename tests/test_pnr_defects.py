@@ -566,3 +566,40 @@ def test_repair_contract_holds_for_random_dies(rca4_golden, die_seed, density):
     assert_defect_clean(repaired.array, dm)
     again = repair_for_die(rca4_golden, dm, seed=0)
     assert np.array_equal(repaired.to_bitstream(), again.to_bitstream())
+
+
+# ---------------------------------------------------------------------------
+# Open defects of the defect-aware flow, pinned until fixed
+# ---------------------------------------------------------------------------
+# Both dies are documented in perfbench/README.md: warm repair falls
+# back, and the cold defect-aware compile then fails every attempt.
+# ``strict=True`` makes a fix flip these tests red, so whoever fixes
+# the flow also moves them into the passing suite.
+
+@pytest.mark.xfail(strict=True, raises=PnrError, reason=(
+    "open defect: one dead cell at (12, 6) leaves mul3 unroutable on "
+    "its 24x24 die"
+))
+def test_open_defect_mul3_die_seed_82():
+    from repro.datapath.multiplier import array_multiplier_netlist
+    from repro.service import CompileService
+
+    with CompileService(workers=0) as svc:
+        svc.compile_for_die(
+            array_multiplier_netlist(3),
+            sample_defect_map(24, 24, cell_fail=0.002, seed=82),
+        )
+
+
+@pytest.mark.xfail(strict=True, raises=PnrError, reason=(
+    "open defect: five dead cells leave 6 of 9 rca8 nets unroutable on "
+    "its 31x31 die"
+))
+def test_open_defect_rca8_die_seed_788060227():
+    from repro.service import CompileService
+
+    with CompileService(workers=0) as svc:
+        svc.compile_for_die(
+            ripple_carry_netlist(8),
+            sample_defect_map(31, 31, cell_fail=0.002, seed=788060227),
+        )

@@ -54,7 +54,7 @@ from repro.service.resilience import (
     StoreIOFault,
     is_transient,
 )
-from repro.service.store import ArtifactStore
+from repro.service.store import ArtifactStore, CacheEntry
 
 
 def reference_bitstreams(netlist, options=None):
@@ -536,34 +536,44 @@ PUBLISH_POINTS = ("store.publish", "store.publish.stage",
                   "store.publish.commit")
 
 
+@pytest.fixture(scope="module")
+def rca2_result():
+    return compile_to_fabric(ripple_carry_netlist(2), seed=0, workers=0)
+
+
+def _entry(result, repaired=False):
+    nl = result.source
+    return CacheEntry(
+        result, tuple(nl.inputs), tuple(nl.outputs), repaired=repaired
+    )
+
+
 @pytest.mark.parametrize("point", PUBLISH_POINTS)
 def test_publish_interrupted_at_every_point_is_old_state_or_complete(
-    tmp_path, point
+    tmp_path, point, rca2_result
 ):
     key = ("design", ("opts", 1))
     store = ArtifactStore(tmp_path)
-    store.put(key, {"v": "old"})
+    store.put(key, _entry(rca2_result, repaired=False))  # "old"
     plan = FaultPlan.from_specs([(point, "error", {"exc": "io"})])
     with plan.activate():
         with pytest.raises(StoreIOFault):
-            store.put(key, {"v": "new"})
+            store.put(key, _entry(rca2_result, repaired=True))  # "new"
     # No staging litter survives an interruption.
     assert not list(tmp_path.glob("objects/stage-*.tmp"))
     # A fresh store (a restarted process) sees old state before the
     # rename, the complete new blob after it — never a torn write.
     seen = ArtifactStore(tmp_path).get(key)
-    if point == "store.publish.commit":
-        assert seen == {"v": "new"}
-    else:
-        assert seen == {"v": "old"}
+    assert seen.result.stats == rca2_result.stats
+    assert seen.repaired == (point == "store.publish.commit")
 
 
-def test_publish_corruption_is_quarantined_into_a_miss(tmp_path):
+def test_publish_corruption_is_quarantined_into_a_miss(tmp_path, rca2_result):
     key = ("design", ("opts", 2))
     store = ArtifactStore(tmp_path)
     plan = FaultPlan.from_specs([("store.publish", "corrupt",)])
     with plan.activate():
-        store.put(key, {"v": "poisoned"})
+        store.put(key, _entry(rca2_result))  # publishes poisoned bytes
     fresh = ArtifactStore(tmp_path)
     assert fresh.get(key) is None
     assert fresh.quarantined == 1
@@ -571,10 +581,10 @@ def test_publish_corruption_is_quarantined_into_a_miss(tmp_path):
     assert s["lookups"] == s["hits"] + s["misses"]
 
 
-def test_publish_fsyncs_the_containing_directory(tmp_path):
+def test_publish_fsyncs_the_containing_directory(tmp_path, rca2_result):
     store = ArtifactStore(tmp_path)
     assert store.dir_syncs == 0
-    store.put(("k",), "v")
+    store.put(("k",), _entry(rca2_result))
     assert store.dir_syncs == 1
     assert store.stats()["dir_syncs"] == 1
 

@@ -36,6 +36,7 @@ from repro.pnr import (
 from repro.service import CompileOptions, CompileService
 from repro.service.store import (
     ArtifactStore,
+    CacheEntry,
     StoreKeyError,
     decode_key,
     encode_key,
@@ -47,6 +48,30 @@ from repro.service.store import (
 # store unit
 # ---------------------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def rca2_result():
+    return compile_to_fabric(ripple_carry_netlist(2), seed=0, workers=0)
+
+
+def _entry(result, tag=0):
+    """A real cache entry; ``tag`` picks distinct provenance flags."""
+    nl = result.source
+    return CacheEntry(
+        result, tuple(nl.inputs), tuple(nl.outputs),
+        incremental=bool(tag & 1), repaired=bool(tag & 2),
+    )
+
+
+def _same(a, b) -> bool:
+    """Entries agree on ports, flags, stats and bitstream bytes."""
+    def view(e):
+        return (
+            e.input_ports, e.output_ports, e.incremental, e.repaired,
+            e.degraded, e.result.stats, e.result.to_bitstream().tobytes(),
+        )
+    return view(a) == view(b)
+
+
 def test_key_codec_round_trips_nested_tuples():
     key = ("h", ("opts", 1, 0, None, True, 2.5), ("die", "abc"))
     assert decode_key(encode_key(key)) == key
@@ -54,74 +79,108 @@ def test_key_codec_round_trips_nested_tuples():
     assert key_digest(key) == key_digest(decode_key(encode_key(key)))
 
 
-def test_unencodable_key_raises_store_key_error(tmp_path):
+def test_unencodable_key_raises_store_key_error(tmp_path, rca2_result):
     store = ArtifactStore(tmp_path)
     with pytest.raises(StoreKeyError):
-        store.put(("bad", object()), 1)
+        store.put(("bad", object()), _entry(rca2_result))
     with pytest.raises(StoreKeyError):
-        store.put(("bad", [1, 2]), 1)  # lists are reserved for tuples
+        store.put(("bad", [1, 2]), _entry(rca2_result))  # lists are reserved for tuples
 
 
-def test_put_get_and_fresh_instance_round_trip(tmp_path):
+def test_non_entry_values_are_refused(tmp_path):
+    store = ArtifactStore(tmp_path)
+    with pytest.raises(TypeError, match="CacheEntry"):
+        store.put(("k",), {"cycle": 141})
+    assert len(store) == 0
+
+
+def test_put_get_and_fresh_instance_round_trip(tmp_path, rca2_result):
     store = ArtifactStore(tmp_path)
     key = ("hash", ("opts", 3, 0, None))
-    assert store.put(key, {"cycle": 141, "routes": (1, 2)}) == []
-    assert store.get(key) == {"cycle": 141, "routes": (1, 2)}
+    entry = _entry(rca2_result, tag=3)
+    assert store.put(key, entry) == []
+    assert _same(store.get(key), entry)
     # A different instance on the same root — "another process".
     again = ArtifactStore(tmp_path)
-    assert again.get(key) == {"cycle": 141, "routes": (1, 2)}
+    assert _same(again.get(key), entry)
     assert key in again
     assert ("other",) not in again
 
 
-def test_lru_eviction_by_entries_with_recency_bump(tmp_path):
+def test_lru_eviction_by_entries_with_recency_bump(tmp_path, rca2_result):
     store = ArtifactStore(tmp_path, max_entries=2)
-    store.put(("a",), 1)
-    store.put(("b",), 2)
+    store.put(("a",), _entry(rca2_result, 1))
+    store.put(("b",), _entry(rca2_result, 2))
     store.get(("a",))  # bump: a is now most-recent, b is the LRU
-    assert store.put(("c",), 3) == [("b",)]
+    assert store.put(("c",), _entry(rca2_result, 3)) == [("b",)]
     assert store.get(("b",)) is None
-    assert store.get(("a",)) == 1
+    assert _same(store.get(("a",)), _entry(rca2_result, 1))
     assert store.keys()[-1] == ("a",)  # keys() is LRU -> MRU
 
 
-def test_byte_budget_eviction_and_oversize_refusal(tmp_path):
-    store = ArtifactStore(tmp_path, max_bytes=2_000)
-    store.put(("small1",), b"x" * 400)
-    store.put(("small2",), b"y" * 400)
+def test_byte_budget_eviction_and_oversize_refusal(tmp_path, rca2_result):
+    def blob_size(key, entry):
+        probe = ArtifactStore(tmp_path / f"probe-{key[0]}")
+        probe.put(key, entry)
+        return probe.size_bytes()
+
+    small = _entry(rca2_result)
+    size = blob_size(("small1",), small)
+    store = ArtifactStore(tmp_path / "store", max_bytes=size * 5 // 2)
+    store.put(("small1",), small)
+    store.put(("small2",), small)
     # A blob alone exceeding the budget is refused, not stored, and
     # must not evict what's there.
-    assert store.put(("huge",), b"z" * 5_000) == []
+    huge = _entry(compile_to_fabric(ripple_carry_netlist(6), seed=0, workers=0))
+    assert blob_size(("huge",), huge) > store.max_bytes
+    assert store.put(("huge",), huge) == []
     assert store.stats()["oversize"] == 1
     assert len(store) == 2
     # Filling past the budget evicts oldest-first until it holds.
-    evicted = store.put(("small3",), b"w" * 1_200)
+    evicted = store.put(("small3",), small)
     assert evicted == [("small1",)]
-    assert store.size_bytes() <= 2_000
+    assert store.size_bytes() <= store.max_bytes
 
 
-def test_zero_capacity_store_drops_every_put(tmp_path):
+def test_zero_capacity_store_drops_every_put(tmp_path, rca2_result):
     store = ArtifactStore(tmp_path, max_entries=0)
-    assert store.put(("k",), 1) == []
+    assert store.put(("k",), _entry(rca2_result)) == []
     assert len(store) == 0
     assert store.get(("k",)) is None
     s = store.stats()
     assert (s["oversize"], s["insertions"]) == (1, 0)
 
 
-def test_republish_refreshes_bytes_and_recency(tmp_path):
+def test_unbounded_put_never_lists_the_store(tmp_path, rca2_result, monkeypatch):
+    store = ArtifactStore(tmp_path)
+    store.put(("warm",), _entry(rca2_result))
+    listed = []
+    real_iterdir = type(tmp_path).iterdir
+
+    def iterdir(path):
+        listed.append(path)
+        return real_iterdir(path)
+
+    monkeypatch.setattr(type(tmp_path), "iterdir", iterdir)
+    for i in range(3):
+        assert store.put((f"k{i}",), _entry(rca2_result)) == []
+    assert not listed, f"an unbounded put listed {listed}"
+    assert store.stats()["insertions"] == 4
+
+
+def test_republish_refreshes_bytes_and_recency(tmp_path, rca2_result):
     store = ArtifactStore(tmp_path, max_entries=2)
-    store.put(("a",), 1)
-    store.put(("b",), 2)
-    store.put(("a",), 10)  # refresh: a becomes MRU, no eviction
+    store.put(("a",), _entry(rca2_result, 0))
+    store.put(("b",), _entry(rca2_result, 0))
+    store.put(("a",), _entry(rca2_result, 1))  # refresh: a becomes MRU, no eviction
     assert store.stats()["evictions"] == 0
-    assert store.put(("c",), 3) == [("b",)]
-    assert store.get(("a",)) == 10
+    assert store.put(("c",), _entry(rca2_result, 0)) == [("b",)]
+    assert _same(store.get(("a",)), _entry(rca2_result, 1))
 
 
-def test_accounting_identity_and_stats_shape(tmp_path):
+def test_accounting_identity_and_stats_shape(tmp_path, rca2_result):
     store = ArtifactStore(tmp_path, max_entries=8)
-    store.put(("a",), 1)
+    store.put(("a",), _entry(rca2_result))
     store.get(("a",))
     store.get(("missing",))
     store.peek(("a",))  # peek never counts
@@ -132,10 +191,10 @@ def test_accounting_identity_and_stats_shape(tmp_path):
 
 
 @pytest.mark.parametrize("spoil", ["truncate", "bitflip", "garbage"])
-def test_corrupt_blob_is_quarantined_as_a_miss(tmp_path, spoil):
+def test_corrupt_blob_is_quarantined_as_a_miss(tmp_path, spoil, rca2_result):
     store = ArtifactStore(tmp_path)
     key = ("hash", ("opts", 0))
-    store.put(key, {"cycle": 141})
+    store.put(key, _entry(rca2_result, 0))
     path = store.path_of(key)
     blob = path.read_bytes()
     if spoil == "truncate":
@@ -152,17 +211,16 @@ def test_corrupt_blob_is_quarantined_as_a_miss(tmp_path, spoil):
     assert not path.exists()  # moved aside: the next get is a clean miss
     assert len(list((tmp_path / "quarantine").iterdir())) == 1
     # The slot is reusable: a fresh publication round-trips again.
-    store.put(key, {"cycle": 142})
-    assert store.get(key) == {"cycle": 142}
+    store.put(key, _entry(rca2_result, 1))
+    assert _same(store.get(key), _entry(rca2_result, 1))
 
 
-def test_publication_is_byte_deterministic(tmp_path):
+def test_publication_is_byte_deterministic(tmp_path, rca2_result):
     a = ArtifactStore(tmp_path / "a")
     b = ArtifactStore(tmp_path / "b")
     key = ("h", ("opts", 1))
-    value = {"routes": (1, 2, 3), "wires": {"s0": "w_0_1"}}
-    a.put(key, value)
-    b.put(key, value)
+    a.put(key, _entry(rca2_result))
+    b.put(key, _entry(rca2_result))
     assert a.path_of(key).read_bytes() == b.path_of(key).read_bytes()
 
 

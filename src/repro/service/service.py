@@ -16,7 +16,7 @@ placement server re-imagined for this fabric:
   artifact is published to disk, and a restarted or sibling service on
   the same directory serves it byte-identically with zero recompiles;
 * **single-flight coalescing** — concurrent submissions of one key run
-  one compile; the duplicates wait on the same future and count as
+  one job; the duplicates wait on the same future and count as
   coalesced, not as compiles;
 * **worker pool** — jobs fan out on a persistent
   :class:`repro.pnr.parallel.TaskPool`; each job's compile runs
@@ -25,8 +25,9 @@ placement server re-imagined for this fabric:
 * **incremental recompiles** — :meth:`CompileService.recompile` routes
   an edited netlist through
   :func:`repro.pnr.incremental.compile_incremental` against a cached
-  base, falling back to a cold compile whenever the delta path
-  declines (:class:`repro.pnr.incremental.IncrementalFallback`);
+  base, falling back to a cold compile *inside the same job* whenever
+  the delta path declines
+  (:class:`repro.pnr.incremental.IncrementalFallback`);
   :meth:`CompileService.open_session` chains this across a whole
   *sequence* of edits, each step warm-starting from the previous
   step's artifact (:class:`repro.service.session.EditSession`);
@@ -39,6 +40,16 @@ placement server re-imagined for this fabric:
   cached under ``(netlist, options, defect-map digest)``, so one
   golden compile serves a whole wafer's worth of distinct dies.
 
+**One job core.**  All three kinds of work — cold compile, die repair,
+delta recompile — are short *job functions* returning a
+:class:`~repro.service.store.CacheEntry`, and all three are served by
+one private path (``CompileService._serve``): memory probe on the
+caller's thread, admission, the locked re-check, coalescing onto the
+in-flight job, launch on the pool under crash supervision, the
+deadline scope, the store probe, publish, settle and the books.  So
+every path has single-flight, admission, deadlines, crash supervision
+and exact books; none has a guarantee the others lack.
+
 Determinism contract (proven in ``tests/test_service.py``): a cache
 *miss* compiles cold and is byte-identical to calling
 ``compile_to_fabric`` yourself; a cache *hit* returns the bytes of the
@@ -49,9 +60,9 @@ circuit is the same, the spelling of its pins is yours); an
 but placed from the cached base, so its bytes legitimately differ from
 a cold compile's.  See ``docs/compile-service.md``.
 
-**Resilience** (PR 10, proven in ``tests/test_resilience.py`` and the
-chaos suite): every submission path passes named fault points
-(``service.submit`` / ``service.run`` / ``service.settle``) so a
+**Resilience** (proven in ``tests/test_resilience.py`` and the chaos
+suite): every job passes named fault points (``service.submit`` /
+``service.run`` / ``service.settle``) so a
 :class:`repro.service.resilience.FaultPlan` can interrogate the
 hardening — per-job deadlines cooperatively cancel stuck compiles
 (:class:`repro.pnr.parallel.CompileTimeout`), transient store IO and
@@ -69,7 +80,8 @@ reference or explicitly marked degraded.  See ``docs/resilience.md``.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future
+from concurrent.futures import Future, wait
+from functools import partial
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -217,28 +229,40 @@ class ServiceResult:
         return [s.tobytes() for s in streams]
 
 
-def _remap_ports(
-    entry: CacheEntry, inputs: tuple[str, ...], outputs: tuple[str, ...]
-) -> tuple[dict, dict]:
-    """Translate the entry's pin maps to the requester's port names.
+def _view(
+    key: tuple,
+    entry: CacheEntry,
+    ports: tuple[tuple[str, ...], tuple[str, ...]],
+    *,
+    cached: bool,
+    coalesced: bool = False,
+    from_store: bool = False,
+) -> ServiceResult:
+    """One submission's :class:`ServiceResult` of ``entry``.
 
-    Content-addressing guarantees the requester's netlist has the same
-    port *structure* (count and position) as the entry's; names may
-    differ.  Wires for ports the flow never routed (dead inputs) are
-    absent from both sides.
+    ``ports`` is the submission's ``(inputs, outputs)`` spelling.
+    Content-addressing guarantees it has the same port *structure*
+    (count and position) as the entry's; names may differ, so the pin
+    maps are translated positionally.  Wires for ports the flow never
+    routed (dead inputs) are absent from both sides.
     """
+
+    def remap(names, own, wires):
+        return {n: wires[o] for n, o in zip(names, own) if o in wires}
+
     res = entry.result
-    in_wires = {}
-    for i, req_name in enumerate(inputs):
-        wire = res.input_wires.get(entry.input_ports[i])
-        if wire is not None:
-            in_wires[req_name] = wire
-    out_wires = {}
-    for i, req_name in enumerate(outputs):
-        wire = res.output_wires.get(entry.output_ports[i])
-        if wire is not None:
-            out_wires[req_name] = wire
-    return in_wires, out_wires
+    return ServiceResult(
+        key=key,
+        result=res,
+        input_wires=remap(ports[0], entry.input_ports, res.input_wires),
+        output_wires=remap(ports[1], entry.output_ports, res.output_wires),
+        cached=cached,
+        coalesced=coalesced,
+        incremental=entry.incremental,
+        repaired=entry.repaired,
+        from_store=from_store,
+        degraded=entry.degraded,
+    )
 
 
 def _isolated_compile(netlist, kwargs, deadline, plan, token, attempt):
@@ -286,8 +310,6 @@ class CompileService:
         artifact is published to the store, so a restarted or sibling
         service on the same directory serves it byte-identically with
         zero recompiles (see ``docs/artifact-store.md``).
-    max_delta_frac, release_budget_frac:
-        Passed through to :func:`compile_incremental`; see there.
     retry:
         The :class:`repro.service.resilience.RetryPolicy` applied to
         transient faults on the store path (IO errors retry with
@@ -325,8 +347,6 @@ class CompileService:
         *,
         cache_capacity: int = 64,
         store: ArtifactStore | str | Path | None = None,
-        max_delta_frac: float | None = None,
-        release_budget_frac: float | None = None,
         retry: RetryPolicy | None = None,
         max_pending: int | None = None,
         isolation: str = "thread",
@@ -345,7 +365,6 @@ class CompileService:
         self._pool = TaskPool(workers)
         self._retry = retry if retry is not None else RetryPolicy()
         self._max_pending = max_pending
-        self._isolation = isolation
         self._degrade = degrade_under_pressure
         self._procs = (
             ProcessWorkerPool(workers=1) if isolation == "process" else None
@@ -353,11 +372,6 @@ class CompileService:
         self._closed = False
         self._lock = threading.Lock()
         self._inflight: dict[tuple, Future] = {}
-        self._delta_kwargs = {}
-        if max_delta_frac is not None:
-            self._delta_kwargs["max_delta_frac"] = max_delta_frac
-        if release_budget_frac is not None:
-            self._delta_kwargs["release_budget_frac"] = release_budget_frac
         self._stats_lock = threading.Lock()
         self._pending = 0
         self._counters = {
@@ -391,6 +405,14 @@ class CompileService:
         """
         with self._lock:
             self._closed = True
+        # Drain before the pool closes: an accepted die job may still
+        # look its golden up, or resume after it, on the pool.
+        while True:
+            with self._lock:
+                jobs = list(self._inflight.values())
+            if not jobs:
+                break
+            wait(jobs)
         self._pool.close()
         if self._procs is not None:
             self._procs.close()
@@ -408,9 +430,9 @@ class CompileService:
         self.close()
 
     # -- accounting -----------------------------------------------------
-    def _bump(self, counter: str, by: int = 1) -> None:
+    def _bump(self, counter: str) -> None:
         with self._stats_lock:
-            self._counters[counter] += by
+            self._counters[counter] += 1
 
     def stats(self) -> dict:
         """Service + cache (+ store, when attached) counters, one snapshot.
@@ -532,42 +554,44 @@ class CompileService:
         except (TransientFault, OSError):
             self._bump("store_errors")
 
-    # -- the compile path -----------------------------------------------
+    # -- the jobs -------------------------------------------------------
     def _compile_cold(
         self,
         netlist: Netlist,
         options: CompileOptions,
-        *,
         token: str,
         defect_map: DefectMap | None = None,
-    ):
-        """One cold compile under the configured isolation mode.
+    ) -> CacheEntry:
+        """The cold-compile job, under the configured isolation mode.
 
-        Thread mode calls :func:`compile_to_fabric` in place (the
-        deadline scope installed by the caller covers it).  Process
-        mode ships the job — with the *remaining* deadline and the
-        active fault plan — into a crash-isolated subprocess: if the
-        worker dies mid-job (``os._exit``, a segfault, an injected
-        crash) it is respawned and the job resubmitted exactly once
-        (``worker_restarts``); a second death raises
-        :class:`WorkerLost`.  Results are byte-identical across modes
-        and across restarts — a compile is a pure function of
-        (netlist, options), so re-running it is safe by construction.
+        Thread mode calls :func:`compile_to_fabric` in place (the job's
+        deadline scope covers it).  Process mode ships the job — with
+        the *remaining* deadline and the active fault plan — into a
+        crash-isolated subprocess: if the worker dies mid-job
+        (``os._exit``, a segfault, an injected crash) it is respawned
+        and the job resubmitted exactly once (``worker_restarts``); a
+        second death raises :class:`WorkerLost`.  Results are
+        byte-identical across modes and across restarts — a compile is
+        a pure function of (netlist, options), so re-running it is safe
+        by construction.
         """
+        self._bump("compiles")
         kwargs = options.compile_kwargs()
         if defect_map is not None:
             kwargs["defect_map"] = defect_map
+        ports = (tuple(netlist.inputs), tuple(netlist.outputs))
         if self._procs is None:
-            return compile_to_fabric(netlist, **kwargs)
+            return CacheEntry(compile_to_fabric(netlist, **kwargs), *ports)
         deadline = current_deadline()
         remaining = deadline.remaining() if deadline is not None else None
         plan = active_fault_plan()
         for attempt in range(2):
             try:
-                return self._procs.run(
+                result = self._procs.run(
                     _isolated_compile,
                     netlist, kwargs, remaining, plan, token, attempt,
                 )
+                return CacheEntry(result, *ports)
             except WorkerCrash:
                 if attempt == 0:
                     self._bump("worker_restarts")
@@ -576,45 +600,273 @@ class CompileService:
                     f"compile worker died twice on job {token}; giving up"
                 ) from None
 
-    def _launch(self, key: tuple, compiled: Future, run) -> None:
+    def _repair(
+        self,
+        golden: ServiceResult,
+        netlist: Netlist,
+        defect_map: DefectMap,
+        options: CompileOptions,
+        token: str,
+    ) -> CacheEntry:
+        """The die job: warm-repair ``golden``, else compile defect-aware.
+
+        Graceful degradation: when repair declines under pressure, or
+        the job's deadline or worker budget is spent, the golden
+        artifact is returned as a marked stand-in (``degraded=True``,
+        never cached) instead of an error.
+        """
+        # The repaired artifact keeps the *golden* netlist's port
+        # spelling (repair reuses the golden source, which may be an
+        # isomorphic sibling of this submission), so entry ports come
+        # from the artifact; the requester's spelling is remapped per
+        # view.
+        source = golden.result.source
+        stand_in = CacheEntry(
+            golden.result, tuple(source.inputs), tuple(source.outputs),
+            degraded=True,
+        )
+        try:
+            try:
+                result = repair_for_die(
+                    golden.result,
+                    defect_map,
+                    target_period=options.target_period,
+                    seed=options.seed,
+                )
+            except RepairFallback:
+                self._bump("repair_fallbacks")
+                if not (self._degrade and self._under_pressure()):
+                    return self._compile_cold(
+                        netlist, options, token, defect_map
+                    )
+                # Repair declined and the queue is full: a cold
+                # defect-aware compile now would stall everyone behind it.
+                self._bump("degraded")
+                return stand_in
+        except (CompileTimeout, TransientFault) as e:
+            if not self._degrade:
+                raise
+            # The job's time or worker budget is spent — the golden
+            # stand-in beats erroring the die.
+            if isinstance(e, CompileTimeout):
+                self._bump("timeouts")
+            self._bump("degraded")
+            return stand_in
+        self._bump("repairs")
+        return CacheEntry(
+            result, tuple(result.source.inputs), tuple(result.source.outputs),
+            repaired=True,
+        )
+
+    def _delta(
+        self,
+        netlist: Netlist,
+        base: PnrResult,
+        options: CompileOptions,
+        token: str,
+    ) -> CacheEntry:
+        """The recompile job: the delta path, else a cold compile."""
+        try:
+            result = compile_incremental(
+                netlist,
+                base,
+                target_period=options.target_period,
+                seed=options.seed,
+            )
+        except IncrementalFallback:
+            self._bump("incremental_fallbacks")
+            return self._compile_cold(netlist, options, token)
+        self._bump("incremental_compiles")
+        return CacheEntry(
+            result, tuple(netlist.inputs), tuple(netlist.outputs),
+            incremental=True,
+        )
+
+    # -- the one job core -----------------------------------------------
+    def _settle(
+        self, key: tuple, job: Future, value=None, error=None
+    ) -> None:
+        """Retire ``key``'s in-flight slot, then settle its job future."""
+        with self._lock:
+            self._inflight.pop(key, None)
+        if error is not None:
+            job.set_exception(error)
+        else:
+            job.set_result(value)
+
+    def _launch(self, key: tuple, job: Future, run, retry: bool = True):
         """Put ``run`` on the pool, supervised against worker death.
 
-        ``run`` itself never raises (it settles ``compiled``), so an
+        ``run`` itself never raises (it settles ``job``), so an
         exception on the *pool-level* future means the worker died
         before ``run`` executed — an injected ``pool.worker`` fault, in
         practice.  The supervisor resubmits exactly once
-        (``worker_restarts``); a second death settles ``compiled`` with
-        :class:`WorkerLost` and performs the in-flight cleanup ``run``
-        never got to, so coalesced waiters always settle, never hang.
-        """
+        (``worker_restarts``); a second death, or a pool that closed
+        before the job could run, settles ``job`` with
+        :class:`WorkerLost`, so coalesced waiters always settle, never
+        hang.
 
-        resubmitted = [False]
+        ``run`` may instead return a future: the job waits for it
+        without holding a pool slot, and ``run(future)`` is launched,
+        with what is left of the resubmission budget, once it settles.
+        (The wait is handled here, not inside ``run``, so no closure
+        refers to itself: a finished job is freed by reference
+        counting, not left to the cyclic garbage collector.)
+        """
 
         def _supervise(pool_future: Future) -> None:
             err = pool_future.exception()
-            if err is None or compiled.done():
+            if err is None:
+                dep = pool_future.result()
+                if dep is not None:
+                    dep.add_done_callback(lambda d: self._launch(
+                        key, job, partial(run, d), retry
+                    ))
                 return
-            if is_transient(err) and not resubmitted[0]:
-                resubmitted[0] = True
+            if job.done():
+                return
+            if is_transient(err) and retry:
                 self._bump("worker_restarts")
-                try:
-                    self._pool.submit(run).add_done_callback(_supervise)
-                    return
-                except RuntimeError:
-                    err = WorkerLost(
-                        "worker died and the pool closed before the job "
-                        "could be resubmitted"
-                    )
-            elif is_transient(err):
+                self._launch(key, job, run, retry=False)
+                return
+            if is_transient(err):
                 err = WorkerLost(
                     "worker died twice running one job; giving up"
                 )
+            self._settle(key, job, error=err)
+
+        try:
+            self._pool.submit(run).add_done_callback(_supervise)
+        except RuntimeError:
+            self._settle(key, job, error=WorkerLost(
+                "the pool closed before the job could run"
+            ))
+
+    def _publish(
+        self, key: tuple, job: Future, entry: CacheEntry, token: str
+    ) -> None:
+        """Cache and persist a fresh entry (never a degraded one), settle."""
+        if not entry.degraded:
+            self.cache.put(key, entry)
+            self._store_put(key, entry)
+        fault_point("service.settle", token=token)
+        self._settle(key, job, (entry, False))
+
+    def _serve(
+        self,
+        key: tuple,
+        netlist: Netlist,
+        options: CompileOptions,
+        work,
+        *,
+        token: str,
+        needs=None,
+        admit: bool = True,
+    ) -> Future:
+        """The one submission path; returns a Future of a ServiceResult.
+
+        ``work`` is the job function returning a :class:`CacheEntry`.
+        With ``needs`` set (a callable returning a Future of a
+        :class:`ServiceResult`), the job waits for that result and
+        receives it as its argument — without holding a pool slot: the
+        job continues on the pool from the dependency's done-callback.
+
+        A memory hit resolves on the caller's thread, with no pool hop
+        and no admission.  Otherwise the submission is admitted (unless
+        ``admit`` is False), coalesces onto the key's in-flight job or
+        launches one; the job probes the store, then runs ``work`` under
+        ``options.deadline``, publishes the entry (never a degraded one)
+        and settles.  A dependency is looked up outside that deadline
+        and ``work`` gets a fresh one after it, so a die's budget covers
+        its repair, not its golden.  Every future handed out is tracked,
+        so ``submissions == settled + shed + pending`` on every path.
+        The public wrappers refuse work after :meth:`close`; this core
+        does not, so an accepted die job can still look its golden up
+        while the service drains.
+        """
+        fault_point("service.submit", token=token)
+        self._bump("submissions")
+        # Snapshot the requester's port spelling now — the netlist is
+        # the caller's object and this future may resolve much later.
+        ports = (tuple(netlist.inputs), tuple(netlist.outputs))
+        entry = self.cache.get(key)
+        if entry is None:
+            if admit:
+                self._admit()
             with self._lock:
-                self._inflight.pop(key, None)
-            compiled.set_exception(err)
+                # Re-check under the lock: a racing job may have
+                # finished (cache.put, then the in-flight pop) between
+                # the lock-free probe above and here.  peek, not get —
+                # the probe above already charged this submission its
+                # miss.
+                entry = self.cache.peek(key)
+                job = self._inflight.get(key)
+                coalesced = job is not None
+                if entry is None and not coalesced:
+                    job = self._inflight[key] = Future()
+        mine: Future = Future()
+        if entry is not None:
+            mine.set_result(_view(key, entry, ports, cached=True))
+            return self._track(mine)
+        if coalesced:
+            self._bump("coalesced")
 
-        self._pool.submit(run).add_done_callback(_supervise)
+        def _done(done: Future) -> None:
+            if done.exception() is not None:
+                mine.set_exception(done.exception())
+                return
+            entry, from_store = done.result()
+            mine.set_result(_view(
+                key, entry, ports, cached=coalesced or from_store,
+                coalesced=coalesced, from_store=from_store,
+            ))
 
+        job.add_done_callback(_done)
+        self._track(mine)
+        if coalesced:
+            return mine
+
+        def run(dep: Future | None = None) -> Future | None:
+            try:
+                if dep is None:
+                    with deadline_scope(options.deadline):
+                        fault_point("service.run", token=token)
+                        # Tier 2, probed on the pool: decoding a large
+                        # artifact must not block the submitting thread,
+                        # and the in-flight future already coalesces
+                        # duplicates across tiers.
+                        entry = self._store_get(key)
+                        if entry is not None:
+                            fault_point("service.settle", token=token)
+                            self._settle(key, job, (entry, True))
+                            return None
+                        if needs is None:
+                            self._publish(key, job, work(), token)
+                            return None
+                    # Outside this job's deadline: the dependency runs
+                    # under its own, and ``work`` gets a fresh one below.
+                    dep = needs()
+                    if not dep.done():
+                        # No slot waits on another future: the job
+                        # resumes once its dependency settles.
+                        return dep
+                if dep.exception() is not None:
+                    # The dependency's failure is this job's failure
+                    # (already booked there, e.g. as a timeout).
+                    self._settle(key, job, error=dep.exception())
+                    return None
+                with deadline_scope(options.deadline):
+                    self._publish(key, job, work(dep.result()), token)
+            except CompileTimeout as e:
+                self._bump("timeouts")
+                self._settle(key, job, error=e)
+            except BaseException as e:  # noqa: BLE001 - future carries it
+                self._settle(key, job, error=e)
+
+        self._launch(key, job, run)
+        return mine
+
+    # -- the public paths -----------------------------------------------
     def job_key(self, netlist: Netlist, options: CompileOptions) -> tuple:
         """The content-addressed cache key of one submission."""
         return (canonical_hash(netlist), options.key())
@@ -643,124 +895,15 @@ class CompileService:
         timeout, worker death, injected fault — an admitted future
         settles exactly once.
         """
-        options = options or CompileOptions()
         self._check_open()
+        options = options or CompileOptions()
         key = self.job_key(netlist, options)
         token = key[0][:12]
-        fault_point("service.submit", token=token)
-        self._bump("submissions")
-        # Snapshot the requester's port spelling now — the netlist is
-        # the caller's object and this future may resolve much later.
-        req_inputs = tuple(netlist.inputs)
-        req_outputs = tuple(netlist.outputs)
-
-        def view(
-            entry: CacheEntry, *, cached: bool, coalesced: bool,
-            from_store: bool = False,
-        ):
-            in_wires, out_wires = _remap_ports(entry, req_inputs, req_outputs)
-            return ServiceResult(
-                key=key,
-                result=entry.result,
-                input_wires=in_wires,
-                output_wires=out_wires,
-                cached=cached,
-                coalesced=coalesced,
-                incremental=entry.incremental,
-                repaired=entry.repaired,
-                from_store=from_store,
-                degraded=entry.degraded,
-            )
-
-        entry = self.cache.get(key)
-        if entry is not None:
-            future: Future = Future()
-            future.set_result(view(entry, cached=True, coalesced=False))
-            return self._track(future)
-
-        self._admit()
-        with self._lock:
-            # Re-check under the lock: a racing compile may have
-            # finished (cache.put then inflight pop, in that order)
-            # between the lock-free cache probe above and here.  peek,
-            # not get — the entry is already most-recent and the probe
-            # above already charged this submission its miss.
-            entry = self.cache.peek(key)
-            if entry is not None:
-                future = Future()
-                future.set_result(view(entry, cached=True, coalesced=False))
-                return self._track(future)
-            inflight = self._inflight.get(key)
-            if inflight is not None:
-                self._bump("coalesced")
-                chained: Future = Future()
-
-                def _chain(done: Future, out: Future = chained) -> None:
-                    err = done.exception()
-                    if err is not None:
-                        out.set_exception(err)
-                    else:
-                        entry, from_store = done.result()
-                        out.set_result(view(
-                            entry, cached=True, coalesced=True,
-                            from_store=from_store,
-                        ))
-
-                inflight.add_done_callback(_chain)
-                return self._track(chained)
-
-            compiled: Future = Future()
-            self._inflight[key] = compiled
-
-        def run() -> None:
-            try:
-                with deadline_scope(options.deadline):
-                    fault_point("service.run", token=token)
-                    # Tier 2: the persisted store.  Probed on the pool,
-                    # not in submit() — deserialising a large artifact
-                    # must not block the submitting thread, and the
-                    # in-flight future already coalesces duplicates.
-                    entry = self._store_get(key)
-                    if entry is not None:
-                        fault_point("service.settle", token=token)
-                        compiled.set_result((entry, True))
-                        return
-                    self._bump("compiles")
-                    result = self._compile_cold(netlist, options, token=token)
-                    entry = CacheEntry(
-                        result=result,
-                        input_ports=req_inputs,
-                        output_ports=req_outputs,
-                    )
-                    self.cache.put(key, entry)
-                    self._store_put(key, entry)
-                    fault_point("service.settle", token=token)
-                    compiled.set_result((entry, False))
-            except CompileTimeout as e:
-                self._bump("timeouts")
-                compiled.set_exception(e)
-            except BaseException as e:  # noqa: BLE001 - future carries it
-                compiled.set_exception(e)
-            finally:
-                with self._lock:
-                    self._inflight.pop(key, None)
-
-        mine: Future = Future()
-
-        def _settle(done: Future, out: Future = mine) -> None:
-            err = done.exception()
-            if err is not None:
-                out.set_exception(err)
-            else:
-                entry, from_store = done.result()
-                out.set_result(view(
-                    entry, cached=from_store, coalesced=False,
-                    from_store=from_store,
-                ))
-
-        compiled.add_done_callback(_settle)
-        self._launch(key, compiled, run)
-        return self._track(mine)
+        return self._serve(
+            key, netlist, options,
+            lambda: self._compile_cold(netlist, options, token),
+            token=token,
+        )
 
     def compile(
         self, netlist: Netlist, options: CompileOptions | None = None
@@ -768,7 +911,6 @@ class CompileService:
         """Blocking :meth:`submit`."""
         return self.submit(netlist, options).result()
 
-    # -- per-die repair ---------------------------------------------------
     def die_key(
         self,
         netlist: Netlist,
@@ -796,7 +938,7 @@ class CompileService:
         """Enqueue a defect-adaptive compile for one die.
 
         Compiles the design once (the **golden** artifact, obtained
-        through the normal cached :meth:`compile` path, so a fleet of
+        through the normal cached :meth:`submit` path, so a fleet of
         dies shares one cold compile) and then adapts it to this die's
         defects with :func:`repro.pnr.defects.repair_for_die` on the
         pool.  When the die is too broken for the warm path
@@ -804,17 +946,16 @@ class CompileService:
         to a full defect-aware cold compile — an unroutable die
         surfaces as the compile error on the returned future.
 
-        The golden compile resolves synchronously in the *calling*
-        thread (a cache hit after the first die), never inside the pool
-        job: a nested blocking submit from a pool slot could deadlock a
-        small pool.  Each die submission therefore also counts one
-        golden submission in :meth:`stats`.
-
-        Die artifacts cache under :meth:`die_key`; hits resolve
-        immediately (from memory or the persisted store — a die another
-        process repaired is served from disk without touching the
-        golden) and concurrent submissions of the same die coalesce,
-        exactly like :meth:`submit`.
+        Die artifacts cache under :meth:`die_key` and are served exactly
+        like :meth:`submit`'s: memory hits resolve immediately, misses
+        are admitted, coalesce and probe the store inside the job — a
+        die another process repaired is served from disk without
+        touching the golden.  Only on a store miss does the job look
+        the golden up: one golden submission in :meth:`stats`, never
+        shed (the die was already admitted), and never waited on from
+        a pool slot — the repair resumes on the pool once the golden
+        settles, so a small pool cannot deadlock on its goldens.  A
+        golden failure is the die's failure.
 
         Graceful degradation (``degrade_under_pressure``, default on):
         when repair declines (:class:`RepairFallback`) while the
@@ -824,191 +965,27 @@ class CompileService:
         defect-free fabric, not adapted to this die, and never cached,
         so a calmer resubmission performs the real repair.
         """
-        options = options or CompileOptions()
         self._check_open()
+        options = options or CompileOptions()
         if options.shards is not None or options.max_side is not None:
             raise ValueError(
                 "per-die compiles are single-array; drop shards/max_side"
             )
         key = self.die_key(netlist, options, defect_map)
         token = f"{key[0][:12]}:die:{defect_map.digest()[:12]}"
-        fault_point("service.submit", token=token)
-        self._bump("submissions")
-        req_inputs = tuple(netlist.inputs)
-        req_outputs = tuple(netlist.outputs)
 
-        def view(
-            entry: CacheEntry, *, cached: bool, coalesced: bool,
-            from_store: bool = False,
-        ):
-            in_wires, out_wires = _remap_ports(entry, req_inputs, req_outputs)
-            return ServiceResult(
-                key=key,
-                result=entry.result,
-                input_wires=in_wires,
-                output_wires=out_wires,
-                cached=cached,
-                coalesced=coalesced,
-                incremental=entry.incremental,
-                repaired=entry.repaired,
-                from_store=from_store,
-                degraded=entry.degraded,
+        def golden() -> Future:
+            return self._serve(
+                key[:2], netlist, options,
+                lambda: self._compile_cold(netlist, options, key[0][:12]),
+                token=key[0][:12], admit=False,
             )
 
-        entry = self.cache.get(key)
-        if entry is not None:
-            future: Future = Future()
-            future.set_result(view(entry, cached=True, coalesced=False))
-            return self._track(future)
-
-        self._admit()
-        with self._lock:
-            entry = self.cache.peek(key)
-            if entry is not None:
-                future = Future()
-                future.set_result(view(entry, cached=True, coalesced=False))
-                return self._track(future)
-            inflight = self._inflight.get(key)
-            if inflight is not None:
-                self._bump("coalesced")
-                chained: Future = Future()
-
-                def _chain(done: Future, out: Future = chained) -> None:
-                    err = done.exception()
-                    if err is not None:
-                        out.set_exception(err)
-                    else:
-                        entry, from_store = done.result()
-                        out.set_result(view(
-                            entry, cached=True, coalesced=True,
-                            from_store=from_store,
-                        ))
-
-                inflight.add_done_callback(_chain)
-                return self._track(chained)
-
-            compiled: Future = Future()
-            self._inflight[key] = compiled
-
-        mine: Future = Future()
-
-        def _settle(done: Future, out: Future = mine) -> None:
-            err = done.exception()
-            if err is not None:
-                out.set_exception(err)
-            else:
-                entry, from_store = done.result()
-                out.set_result(view(
-                    entry, cached=from_store, coalesced=False,
-                    from_store=from_store,
-                ))
-
-        compiled.add_done_callback(_settle)
-
-        # Tier 2 first: a die already repaired by another process (or
-        # an earlier life of this one) serves straight from the store —
-        # the golden artifact is not even loaded.  This probe runs in
-        # the calling thread because the golden resolve below does too.
-        try:
-            entry = self._store_get(key)
-        except BaseException as e:  # noqa: BLE001 - future carries it
-            with self._lock:
-                self._inflight.pop(key, None)
-            compiled.set_exception(e)
-            return self._track(mine)
-        if entry is not None:
-            with self._lock:
-                self._inflight.pop(key, None)
-            compiled.set_result((entry, True))
-            return self._track(mine)
-
-        try:
-            golden = self.compile(netlist, options)
-        except BaseException as e:  # noqa: BLE001 - future carries it
-            with self._lock:
-                self._inflight.pop(key, None)
-            compiled.set_exception(e)
-            return self._track(mine)
-
-        def degraded_entry() -> CacheEntry:
-            # Serve the golden artifact as a marked stand-in.  Its
-            # port spelling is the golden source's (the same remap
-            # contract as the repair path); it is handed to waiters
-            # but never cached or persisted — the die deserves its
-            # real repair when pressure subsides.
-            return CacheEntry(
-                result=golden.result,
-                input_ports=tuple(golden.result.source.inputs),
-                output_ports=tuple(golden.result.source.outputs),
-                degraded=True,
-            )
-
-        def run() -> None:
-            try:
-                with deadline_scope(options.deadline):
-                    fault_point("service.run", token=token)
-                    try:
-                        try:
-                            result = repair_for_die(
-                                golden.result,
-                                defect_map,
-                                target_period=options.target_period,
-                                seed=options.seed,
-                            )
-                            self._bump("repairs")
-                            repaired = True
-                        except RepairFallback:
-                            self._bump("repair_fallbacks")
-                            if self._degrade and self._under_pressure():
-                                # Repair declined and the queue is
-                                # full: a cold defect-aware compile now
-                                # would stall everyone behind it.
-                                self._bump("degraded")
-                                compiled.set_result((degraded_entry(), False))
-                                return
-                            self._bump("compiles")
-                            result = self._compile_cold(
-                                netlist, options,
-                                token=token, defect_map=defect_map,
-                            )
-                            repaired = False
-                    except (CompileTimeout, TransientFault) as e:
-                        if not self._degrade:
-                            raise
-                        # The job's time or worker budget is spent —
-                        # the golden stand-in beats erroring the die.
-                        if isinstance(e, CompileTimeout):
-                            self._bump("timeouts")
-                        self._bump("degraded")
-                        compiled.set_result((degraded_entry(), False))
-                        return
-                    # The repaired artifact keeps the *golden*
-                    # netlist's port spelling (repair reuses the golden
-                    # source, which may be an isomorphic sibling of
-                    # this submission), so the entry's port order must
-                    # come from the artifact — the requester's spelling
-                    # is remapped per view.
-                    entry = CacheEntry(
-                        result=result,
-                        input_ports=tuple(result.source.inputs),
-                        output_ports=tuple(result.source.outputs),
-                        repaired=repaired,
-                    )
-                    self.cache.put(key, entry)
-                    self._store_put(key, entry)
-                    fault_point("service.settle", token=token)
-                    compiled.set_result((entry, False))
-            except CompileTimeout as e:
-                self._bump("timeouts")
-                compiled.set_exception(e)
-            except BaseException as e:  # noqa: BLE001 - future carries it
-                compiled.set_exception(e)
-            finally:
-                with self._lock:
-                    self._inflight.pop(key, None)
-
-        self._launch(key, compiled, run)
-        return self._track(mine)
+        return self._serve(
+            key, netlist, options,
+            lambda g: self._repair(g, netlist, defect_map, options, token),
+            token=token, needs=golden,
+        )
 
     def compile_for_die(
         self,
@@ -1019,7 +996,6 @@ class CompileService:
         """Blocking :meth:`submit_for_die`."""
         return self.submit_for_die(netlist, defect_map, options).result()
 
-    # -- incremental recompiles -----------------------------------------
     def recompile(
         self,
         netlist: Netlist,
@@ -1029,101 +1005,30 @@ class CompileService:
         """Recompile an edited netlist, warm-starting from ``base``.
 
         Takes the delta path (:func:`compile_incremental`) when the
-        edit is small enough; otherwise falls back to a full cold
-        compile through the normal cached/coalesced :meth:`submit`
-        machinery.  The result is cached under the *edited* netlist's
-        content key — in memory and in the persisted store — so
-        submitting the same edit again (from this service or a sibling
-        on the same store) is a plain hit.
+        edit is small enough; otherwise the same job falls back to a
+        full cold compile.  The result is cached under the *edited*
+        netlist's content key — in memory and in the persisted store —
+        so submitting the same edit again (from this service or a
+        sibling on the same store) is a plain hit.
 
-        A blocking call still keeps the resilience books: it counts
-        pending while it runs and settled when it returns (or raises),
-        honours ``options.deadline`` on the delta path, and raises
-        ``RuntimeError`` after :meth:`close`.
+        A blocking wrapper over the same job core as :meth:`submit`:
+        a memory hit returns at once, concurrent identical recompiles
+        coalesce onto one job, a full queue sheds
+        (:class:`ServiceOverloaded`), ``options.deadline`` bounds the
+        delta *and* any fallback as one budget, a worker death is
+        resubmitted once, and the call books exactly one submission —
+        fallback included.  ``RuntimeError`` after :meth:`close`.
         """
-        options = options or CompileOptions()
         self._check_open()
+        options = options or CompileOptions()
         key = self.job_key(netlist, options)
-        fault_point("service.submit", token=key[0][:12])
-        self._bump("submissions")
-        with self._stats_lock:
-            self._pending += 1
-        try:
-            return self._recompile_body(netlist, base, options, key)
-        finally:
-            with self._stats_lock:
-                self._pending -= 1
-                self._counters["settled"] += 1
-
-    def _recompile_body(
-        self,
-        netlist: Netlist,
-        base: ServiceResult | PnrResult,
-        options: CompileOptions,
-        key: tuple,
-    ) -> ServiceResult:
-        """:meth:`recompile` body, inside its accounting bracket."""
-
-        def cached_view(entry: CacheEntry, *, from_store: bool):
-            in_w, out_w = _remap_ports(
-                entry, tuple(netlist.inputs), tuple(netlist.outputs)
-            )
-            return ServiceResult(
-                key=key,
-                result=entry.result,
-                input_wires=in_w,
-                output_wires=out_w,
-                cached=True,
-                coalesced=False,
-                incremental=entry.incremental,
-                repaired=entry.repaired,
-                from_store=from_store,
-                degraded=entry.degraded,
-            )
-
-        entry = self.cache.get(key)
-        if entry is not None:
-            return cached_view(entry, from_store=False)
-        # recompile() is a blocking API, so the store probe runs right
-        # here — an edit some sibling service already compiled (or a
-        # replayed session step) never pays the delta path again.
-        entry = self._store_get(key)
-        if entry is not None:
-            return cached_view(entry, from_store=True)
-        base_result = base.result if isinstance(base, ServiceResult) else base
-        try:
-            with deadline_scope(options.deadline):
-                result = compile_incremental(
-                    netlist,
-                    base_result,
-                    target_period=options.target_period,
-                    seed=options.seed,
-                    **self._delta_kwargs,
-                )
-        except CompileTimeout:
-            self._bump("timeouts")
-            raise
-        except IncrementalFallback:
-            self._bump("incremental_fallbacks")
-            return self.compile(netlist, options)
-        self._bump("incremental_compiles")
-        entry = CacheEntry(
-            result=result,
-            input_ports=tuple(netlist.inputs),
-            output_ports=tuple(netlist.outputs),
-            incremental=True,
-        )
-        self.cache.put(key, entry)
-        self._store_put(key, entry)
-        return ServiceResult(
-            key=key,
-            result=result,
-            input_wires=dict(result.input_wires),
-            output_wires=dict(result.output_wires),
-            cached=False,
-            coalesced=False,
-            incremental=True,
-        )
+        token = key[0][:12]
+        base = base.result if isinstance(base, ServiceResult) else base
+        return self._serve(
+            key, netlist, options,
+            lambda: self._delta(netlist, base, options, token),
+            token=token,
+        ).result()
 
     def open_session(
         self, netlist: Netlist, options: CompileOptions | None = None

@@ -140,7 +140,6 @@ class EditSession:
         provenance and wall-clock) and advances the chain.  Returns the
         step's :class:`ServiceResult`.
         """
-        before = self.service.stats()["incremental_fallbacks"]
         t0 = time.perf_counter()
         try:
             result = self.service.recompile(
@@ -153,15 +152,15 @@ class EditSession:
             self.errors.append((len(self.steps) + 1, e))
             raise
         seconds = time.perf_counter() - t0
-        # The session is serial, so the counter delta is exactly this
-        # step's escalation (a cached hit never reaches the delta path).
-        fellback = self.service.stats()["incremental_fallbacks"] > before
+        # Provenance comes from this step's own result, never from the
+        # service-wide counters another client's recompile also moves:
+        # a fresh artifact that is not incremental is a fallback.
         self.steps.append(SessionStep(
             index=len(self.steps) + 1,
             edited=netlist,
             result=result,
             incremental=result.incremental and not result.cached,
-            fallback=fellback,
+            fallback=not result.cached and not result.incremental,
             cached=result.cached,
             seconds=seconds,
         ))

@@ -530,6 +530,200 @@ def other_hash():
 
 
 # ---------------------------------------------------------------------------
+# One job core: recompile and die repair keep submit's guarantees
+# ---------------------------------------------------------------------------
+def _rca2_die(seed):
+    return sample_defect_map(13, 13, cell_fail=0.01, wire_fail=0.004, seed=seed)
+
+
+def test_recompile_at_a_full_queue_is_shed():
+    base_nl = ripple_carry_netlist(2)
+    plan = FaultPlan.from_specs(
+        [("service.run", "stall", {"delay": 0.6, "token": other_hash()})]
+    )
+    with CompileService(workers=2, max_pending=1) as svc:
+        base = svc.compile(base_nl)
+        with plan.activate():
+            busy = svc.submit(ripple_carry_netlist(3))
+            with pytest.raises(ServiceOverloaded) as exc:
+                svc.recompile(_bump_one_delay(base_nl), base)
+            assert exc.value.max_pending == 1
+            busy.result(timeout=30)
+        stats = svc.stats()
+    assert stats["shed"] == 1
+    assert stats["incremental_compiles"] == 0
+    assert stats["submissions"] == stats["settled"] + stats["shed"]
+    assert stats["pending"] == 0
+
+
+def test_recompile_deadline_covers_its_fallback():
+    deadline = 0.1  # well under rca8's cold compile time
+    with CompileService(workers=2) as svc:
+        base = svc.compile(ripple_carry_netlist(2))
+        t0 = time.perf_counter()
+        with pytest.raises(CompileTimeout):
+            svc.recompile(
+                ripple_carry_netlist(8), base, CompileOptions(deadline=deadline)
+            )
+        elapsed = time.perf_counter() - t0
+        stats = svc.stats()
+    assert elapsed < 2 * deadline, (
+        f"timed out after {elapsed:.3f}s against a {deadline}s deadline"
+    )
+    # The delta declined first; the cold fallback then ran out of the
+    # same budget, inside the same job.
+    assert stats["incremental_fallbacks"] == 1
+    assert stats["timeouts"] == 1
+    assert stats["submissions"] == stats["settled"] == 2
+
+
+def test_more_dies_than_workers_against_an_uncached_golden_all_settle():
+    dies = [_rca2_die(s) for s in range(5)]
+    with CompileService(workers=2) as svc:
+        futures = [
+            svc.submit_for_die(ripple_carry_netlist(2), die) for die in dies
+        ]
+        results = [f.result(timeout=60) for f in futures]
+        stats = svc.stats()
+    assert not any(r.degraded for r in results)
+    assert stats["repairs"] + stats["repair_fallbacks"] == 5
+    assert stats["compiles"] == 1 + stats["repair_fallbacks"]  # one golden
+    assert stats["submissions"] == stats["settled"] == 10
+
+
+def test_die_jobs_free_their_slots_while_the_golden_compiles(monkeypatch):
+    from repro.service import service as service_mod
+
+    golden_nl = ripple_carry_netlist(2)
+    release = threading.Event()
+    real = service_mod.compile_to_fabric
+
+    def gated(netlist, **kwargs):
+        if netlist is golden_nl and "defect_map" not in kwargs:
+            release.wait()
+        return real(netlist, **kwargs)
+
+    monkeypatch.setattr(service_mod, "compile_to_fabric", gated)
+    safety = threading.Timer(10, release.set)  # never hang the suite
+    safety.start()
+    try:
+        with CompileService(workers=2) as svc:
+            dies = [
+                svc.submit_for_die(golden_nl, _rca2_die(s)) for s in (0, 1, 3)
+            ]
+            # Three dies wait on one golden compile that holds one of the
+            # two slots; the other slot stays free for unrelated work.
+            svc.submit(ripple_carry_netlist(3)).result(timeout=30)
+            golden_still_compiling = not release.is_set()
+            dies_waiting = not any(f.done() for f in dies)
+            release.set()
+            results = [f.result(timeout=60) for f in dies]
+            stats = svc.stats()
+    finally:
+        safety.cancel()
+    assert golden_still_compiling and dies_waiting
+    assert all(r.repaired for r in results)
+    assert stats["compiles"] == 2  # the golden and rca3
+    assert stats["submissions"] == stats["settled"] == 7
+
+
+def test_an_admitted_die_is_never_shed_by_its_own_golden_lookup():
+    with CompileService(workers=2, max_pending=1) as svc:
+        result = svc.compile_for_die(ripple_carry_netlist(2), _rca2_die(0))
+        stats = svc.stats()
+    assert result.repaired
+    assert stats["shed"] == 0
+    assert stats["submissions"] == stats["settled"] == 2
+
+
+def _slow_golden(monkeypatch, golden_nl, delay, *, before):
+    """Make ``golden_nl``'s cold compile take ``delay`` seconds longer.
+
+    ``before=True`` sleeps before compiling, ``False`` after: then the
+    golden finishes inside its own deadline but returns late.
+    """
+    from repro.service import service as service_mod
+
+    real = service_mod.compile_to_fabric
+
+    def slow(netlist, **kwargs):
+        is_golden = netlist is golden_nl and "defect_map" not in kwargs
+        if is_golden and before:
+            time.sleep(delay)
+        result = real(netlist, **kwargs)
+        if is_golden and not before:
+            time.sleep(delay)
+        return result
+
+    monkeypatch.setattr(service_mod, "compile_to_fabric", slow)
+
+
+def test_close_drains_accepted_die_jobs_to_their_repairs(monkeypatch):
+    from repro.netlist.canonical import canonical_hash
+
+    golden_nl = ripple_carry_netlist(2)
+    _slow_golden(monkeypatch, golden_nl, 0.5, before=True)
+    dies = [_rca2_die(0), _rca2_die(1)]
+    late_token = f"{canonical_hash(golden_nl)[:12]}:die:{dies[1].digest()[:12]}"
+    # The first die is waiting on the in-flight golden when close()
+    # starts; the second has not even looked its golden up yet.
+    plan = FaultPlan.from_specs(
+        [("service.run", "stall", {"delay": 0.25, "token": late_token})]
+    )
+    svc = CompileService(workers=2)
+    with plan.activate():
+        futures = [svc.submit_for_die(golden_nl, die) for die in dies]
+        svc.close()
+        assert all(f.done() for f in futures)
+    results = [f.result() for f in futures]
+    stats = svc.stats()
+    assert all(r.repaired and not r.degraded for r in results)
+    assert stats["compiles"] == 1
+    assert stats["submissions"] == stats["settled"] == 4
+    with pytest.raises(RuntimeError):
+        svc.submit_for_die(golden_nl, _rca2_die(3))
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_a_die_deadline_covers_its_repair_not_its_golden(
+    monkeypatch, workers
+):
+    # The golden compiles well inside its own deadline, then returns
+    # later than the die's whole budget: only a fresh budget for the
+    # repair (the golden's own, inline or on another slot) repairs.
+    golden_nl = ripple_carry_netlist(2)
+    deadline = 1.0
+    _slow_golden(monkeypatch, golden_nl, 1.2 * deadline, before=False)
+    with CompileService(workers=workers) as svc:
+        result = svc.compile_for_die(
+            golden_nl, _rca2_die(0), CompileOptions(deadline=deadline)
+        )
+        stats = svc.stats()
+    assert result.repaired and not result.degraded
+    assert stats["timeouts"] == stats["degraded"] == 0
+    assert stats["submissions"] == stats["settled"] == 2
+
+
+def test_a_die_resumed_after_its_golden_keeps_one_resubmission(monkeypatch):
+    golden_nl = ripple_carry_netlist(2)
+    _slow_golden(monkeypatch, golden_nl, 0.2, before=True)
+    # Pool sequence: 0 the die (dies), 1 its resubmission, 2 the golden,
+    # 3 the die resumed after the golden (dies again).
+    plan = FaultPlan.from_specs([
+        ("pool.worker", "die", {"token": "0"}),
+        ("pool.worker", "die", {"token": "3"}),
+    ])
+    with CompileService(workers=2) as svc, plan.activate():
+        die = svc.submit_for_die(golden_nl, _rca2_die(0))
+        with pytest.raises(WorkerLost):
+            die.result(timeout=30)
+        stats = svc.stats()
+    assert stats["worker_restarts"] == 1, "exactly one resubmission per job"
+    assert stats["compiles"] == 1  # the golden
+    assert stats["submissions"] == stats["settled"] == 2
+
+
+# ---------------------------------------------------------------------------
 # Store durability (satellite): interrupted publishes, retried loads
 # ---------------------------------------------------------------------------
 PUBLISH_POINTS = ("store.publish", "store.publish.stage",

@@ -14,14 +14,18 @@ The ISSUE 7 contract, stated as tests:
   translated to their own port names.
 """
 
+import gc
 import threading
+import time
+import weakref
 
 import pytest
 
 from repro.datapath.adder import ripple_carry_netlist
 from repro.datapath.multiplier import array_multiplier_netlist
 from repro.netlist import Netlist
-from repro.pnr import compile_to_fabric
+from repro.netlist.canonical import canonical_hash
+from repro.pnr import compile_to_fabric, sample_defect_map
 from repro.pnr.parallel import TaskPool
 from repro.service import CompileOptions, CompileService, ResultCache
 
@@ -353,3 +357,167 @@ def test_service_recompile_delta_and_fallback_accounting():
     assert other.bitstreams() == cold_bytes(array_multiplier_netlist(2))
     assert stats["incremental_compiles"] == 1
     assert stats["incremental_fallbacks"] == 1
+
+
+# ---------------------------------------------------------------------------
+# One job core: recompile and die repair share submit's guarantees
+# ---------------------------------------------------------------------------
+def _flip_first_and(nl):
+    flip = next(c for c in nl.cells if c.kind == "and").name
+    out = Netlist(nl.name)
+    for p in nl.inputs:
+        out.add_input(p)
+    for p in nl.outputs:
+        out.add_output(p)
+    for c in nl.cells:
+        kind = "or" if c.name == flip else c.kind
+        out.add(kind, c.name, list(c.inputs), c.output,
+                delay=c.delay, **dict(c.params))
+    return out
+
+
+def _rca2_die():
+    """A defective die of rca2's 13x13 golden array, warm-repairable."""
+    return sample_defect_map(13, 13, cell_fail=0.01, wire_fail=0.004, seed=9)
+
+
+def test_concurrent_identical_recompiles_coalesce_onto_one_delta(monkeypatch):
+    from repro.service import service as service_mod
+
+    n = 4
+    base_nl = ripple_carry_netlist(4)
+    edited = _flip_first_and(base_nl)
+    release = threading.Event()
+    real = service_mod.compile_incremental
+
+    def gated(*args, **kwargs):
+        release.wait(timeout=30)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(service_mod, "compile_incremental", gated)
+    with CompileService(workers=2) as svc:
+        base = svc.compile(base_nl)
+        results = [None] * n
+
+        def client(i):
+            results[i] = svc.recompile(edited, base)
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(n)]
+        for t in threads:
+            t.start()
+        # Hold the one delta until every duplicate has attached to it.
+        waited = time.monotonic() + 10
+        while svc.stats()["coalesced"] < n - 1 and time.monotonic() < waited:
+            time.sleep(0.01)
+        release.set()
+        for t in threads:
+            t.join(timeout=60)
+        stats = svc.stats()
+    assert stats["incremental_compiles"] == 1
+    assert stats["coalesced"] == n - 1
+    assert sum(r.coalesced for r in results) == n - 1
+    assert all(r.incremental for r in results)
+    assert len({tuple(r.bitstreams()) for r in results}) == 1
+    assert stats["submissions"] == stats["settled"] == n + 1
+
+
+def test_compile_plus_one_fallback_recompile_books_two_submissions():
+    with CompileService(workers=0) as svc:
+        base = svc.compile(ripple_carry_netlist(2))
+        other = svc.recompile(array_multiplier_netlist(2), base)
+        stats = svc.stats()
+    assert not other.incremental and not other.cached
+    assert other.bitstreams() == cold_bytes(array_multiplier_netlist(2))
+    assert stats["incremental_fallbacks"] == 1
+    assert stats["compiles"] == 2
+    assert stats["submissions"] == stats["settled"] == 2
+
+
+def test_books_balance_on_all_three_paths():
+    rca2 = ripple_carry_netlist(2)
+    with CompileService(workers=2) as svc:
+        base = svc.compile(rca2)
+        svc.compile(rca2)  # memory hit
+        svc.compile_for_die(rca2, _rca2_die())
+        svc.compile_for_die(rca2, _rca2_die())  # hit
+        svc.recompile(_flip_first_and(rca2), base)  # delta
+        svc.recompile(array_multiplier_netlist(2), base)  # fallback
+        stats = svc.stats()
+    # 2 compiles, 1 die plus its golden lookup, 1 die hit, 2 recompiles.
+    assert stats["submissions"] == 7
+    assert stats["submissions"] == stats["settled"] + stats["shed"]
+    assert stats["pending"] == 0
+    assert stats["compiles"] == 2  # the golden and the fallback
+
+
+def test_memory_hits_resolve_on_the_caller_thread_without_admission(
+    monkeypatch,
+):
+    from repro.service.resilience import FaultPlan
+
+    rca2 = ripple_carry_netlist(2)
+    die = _rca2_die()
+    edited = _flip_first_and(rca2)
+    hops = []
+    real_submit = TaskPool.submit
+
+    def counting_submit(self, fn, *args, **kwargs):
+        hops.append(fn)
+        return real_submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(TaskPool, "submit", counting_submit)
+    busy_token = canonical_hash(ripple_carry_netlist(3))[:12]
+    plan = FaultPlan.from_specs(
+        [("service.run", "stall", {"delay": 0.5, "token": busy_token})]
+    )
+    with CompileService(workers=2, max_pending=1) as svc:
+        base = svc.compile(rca2)
+        svc.compile_for_die(rca2, die)
+        svc.recompile(edited, base)
+        with plan.activate():
+            busy = svc.submit(ripple_carry_netlist(3))  # the queue is full
+            assert svc.stats()["pending"] == 1
+            before = len(hops)
+            hit = svc.submit(rca2)
+            die_hit = svc.submit_for_die(rca2, die)
+            # Resolved before the call returned: no pool hop.
+            assert hit.done() and die_hit.done()
+            delta_hit = svc.recompile(edited, base)
+            assert len(hops) == before
+            busy.result(timeout=30)
+        stats = svc.stats()
+    assert hit.result().cached and die_hit.result().cached
+    assert delta_hit.cached and delta_hit.incremental
+    assert stats["shed"] == 0
+    assert stats["submissions"] == stats["settled"]
+
+
+def test_a_settled_job_is_freed_by_reference_counting():
+    """A finished job's futures die with the caller's last reference.
+
+    A closure that refers to itself would keep each finished job — and
+    the artifact its future holds — alive until the cyclic collector
+    runs.  With the collector off, the futures and results handed out
+    on every path must still be freed once the caller drops them.
+    """
+    rca2 = ripple_carry_netlist(2)
+    gc.disable()
+    try:
+        with CompileService(workers=2, cache_capacity=1) as svc:
+            base = svc.compile(rca2)
+            svc.compile(ripple_carry_netlist(3))
+            # The golden was evicted, so this die job waits on it.
+            die = svc.submit_for_die(rca2, _rca2_die())
+            die.result(timeout=60)
+            cold = svc.submit(ripple_carry_netlist(4))
+            cold.result(timeout=60)
+            fallback = svc.recompile(array_multiplier_netlist(2), base)
+            refs = [weakref.ref(x) for x in (die, cold, fallback)]
+            del die, cold, fallback
+            # A worker may still be unwinding the job it just settled.
+            waited = time.monotonic() + 10
+            while any(r() is not None for r in refs):
+                assert time.monotonic() < waited, "a settled job leaked"
+                time.sleep(0.01)
+    finally:
+        gc.enable()

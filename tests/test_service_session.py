@@ -205,3 +205,41 @@ def test_reopening_a_session_on_a_cached_base_is_free():
         session = svc.open_session(BASE)  # base is a cache hit now
         assert session.base.cached
         assert svc.stats()["compiles"] == 1
+
+
+def test_a_foreign_fallback_does_not_mark_a_delta_step_as_fallback(
+    monkeypatch,
+):
+    """Step provenance comes from the step's own result.
+
+    While this session's delta step runs, another client's recompile
+    falls back.  The service-wide ``incremental_fallbacks`` counter
+    moves, but the step itself went incremental, so it must carry
+    exactly one flag: ``incremental``.
+    """
+    from repro.datapath.multiplier import array_multiplier_netlist
+    from repro.service import service as service_mod
+
+    real = service_mod.compile_incremental
+    fired = []
+    base_nl = ripple_carry_netlist(2)
+    with CompileService(workers=0) as svc:
+        session = svc.open_session(base_nl)
+
+        def with_a_foreign_fallback(*args, **kwargs):
+            if not fired:
+                fired.append(True)
+                svc.recompile(array_multiplier_netlist(2), session.base)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(
+            service_mod, "compile_incremental", with_a_foreign_fallback
+        )
+        session.apply(_flip(base_nl, {next(
+            c.name for c in base_nl.cells if c.kind == "and"
+        )}))
+        stats = svc.stats()
+    step = session.steps[0]
+    assert fired and stats["incremental_fallbacks"] == 1
+    assert step.incremental and not step.fallback and not step.cached
+    assert session.stats()["fallbacks"] == 0

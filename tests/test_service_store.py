@@ -452,3 +452,17 @@ def test_real_subprocess_round_trip(tmp_path):
     assert b"".join(served.bitstreams()) == child_bytes
     assert served.from_store
     assert stats["compiles"] == 0
+
+
+def test_a_die_store_hit_never_resolves_the_golden(tmp_path):
+    die = sample_defect_map(13, 13, cell_fail=0.01, wire_fail=0.004, seed=9)
+    with CompileService(workers=0, store=tmp_path) as first:
+        first.compile_for_die(ripple_carry_netlist(2), die)
+    with CompileService(workers=2, store=tmp_path) as second:
+        served = second.compile_for_die(ripple_carry_netlist(2), die)
+        stats = second.stats()
+    assert served.from_store and served.repaired
+    # One submission: the die's own.  No golden lookup was submitted.
+    assert stats["submissions"] == stats["settled"] == 1
+    assert stats["store"]["lookups"] == 1
+    assert stats["compiles"] == 0

@@ -8,13 +8,11 @@ of designs from the paper (the Fig. 10 adder slice, a micropipeline
 stage), scaling ripple-carry adders, and the datapath generators (array
 multiplier, accumulator step), so ``BENCH_results.json`` tracks compile
 time, wirelength and cycle time against array side.  A second table
-compares wirelength-only and timing-driven compiles on the larger
-designs; a third compiles the deep designs (mul4, rca16) across
-multiple chiplet arrays with the sharded flow, recording shard count,
-channel cut size and the composed system cycle time.  `run_all.py`
-imports :func:`run_pnr_quality`, :func:`run_pnr_timing_driven` and
-:func:`run_pnr_sharded` and folds the numbers into
-``BENCH_results.json``.
+compiles the deep designs (mul4, rca16) across multiple chiplet arrays
+with the sharded flow, recording shard count, channel cut size and the
+composed system cycle time.  `run_all.py` imports
+:func:`run_pnr_quality` and :func:`run_pnr_sharded` and folds the
+numbers into ``BENCH_results.json``.
 """
 
 from __future__ import annotations
@@ -78,44 +76,6 @@ def run_pnr_quality(verify_vectors: int = 256) -> dict[str, dict]:
             entry["verify_s"] = round(time.perf_counter() - t0, 4)
             entry["verified_vectors"] = verify_vectors
         results[name] = entry
-    return results
-
-
-def run_pnr_timing_driven() -> dict[str, dict]:
-    """Wirelength-only vs timing-driven compiles on the larger designs.
-
-    The acceptance bar for the timing-driven loop: its achieved cycle
-    time is never worse than the HPWL-only placement's, on the rca8 and
-    multiplier benchmarks.  mul4 compiles on a *single* array here — a
-    row the pre-incremental engine couldn't afford (the warm-started
-    weight ladder and journal-replay routing make the 168-gate compile
-    a sub-second affair).
-    """
-    designs = {
-        "rca8": ripple_carry_netlist(8),
-        "mul3_array": array_multiplier_netlist(3),
-        "mul4_array": array_multiplier_netlist(4),
-    }
-    results: dict[str, dict] = {}
-    for name, netlist in designs.items():
-        gc.collect()
-        t0 = time.perf_counter()
-        base = compile_to_fabric(netlist, seed=0)
-        base_s = time.perf_counter() - t0
-        gc.collect()
-        t0 = time.perf_counter()
-        timed = compile_to_fabric(netlist, seed=0, timing_driven=True)
-        timed_s = time.perf_counter() - t0
-        results[name] = {
-            "cycle_hpwl": base.stats.cycle_time,
-            "cycle_timing_driven": timed.stats.cycle_time,
-            "slack_hpwl": base.stats.worst_slack,
-            "slack_timing_driven": timed.stats.worst_slack,
-            "wirelength_hpwl": base.stats.wirelength,
-            "wirelength_timing_driven": timed.stats.wirelength,
-            "compile_s_hpwl": round(base_s, 4),
-            "compile_s_timing_driven": round(timed_s, 4),
-        }
     return results
 
 
@@ -206,13 +166,6 @@ def test_pnr_scales_with_adder_width(capsys):
         print("\n  bits gates route wirelength cycle")
         for r in rows:
             print(f"  {r[0]:4d} {r[1]:5d} {r[2]:5d} {r[3]:10d} {r[4]:5d}")
-
-
-def test_timing_driven_never_slower():
-    """Acceptance: timing-driven cycle <= HPWL-only cycle, both designs."""
-    results = run_pnr_timing_driven()
-    for name, entry in results.items():
-        assert entry["cycle_timing_driven"] <= entry["cycle_hpwl"], name
 
 
 def test_sharded_designs_split_and_verify(capsys):

@@ -51,14 +51,9 @@ METRICS: tuple[str, ...] = ("cycle_time", "wirelength")
 REPORT_ONLY_METRICS: tuple[str, ...] = ("compile_s",)
 
 #: Throughput rows from ``microbench.pnr_speed`` shown (never gated) so
-#: the annealer/fleet perf trajectory is visible next to the quality
-#: gate: evaluated moves/s per design, and the replica fleet's exchange
-#: acceptance rate + process-pool speedup.  All machine-dependent.
+#: the annealer perf trajectory is visible next to the quality gate:
+#: evaluated moves/s per design.  Machine-dependent.
 SPEED_REPORT_METRICS: tuple[str, ...] = ("anneal_moves_per_s",)
-FLEET_REPORT_METRICS: tuple[str, ...] = (
-    "exchange_accept_rate",
-    "fleet_pool_speedup",
-)
 
 
 def speed_table(results: dict) -> dict:
@@ -212,10 +207,7 @@ def main(argv: list[str] | None = None) -> int:
             )
     base_s, fresh_s = speed_table(baseline), speed_table(fresh)
     for row in sorted(set(base_s) | set(fresh_s)):
-        metrics = (
-            FLEET_REPORT_METRICS if "fleet" in row else SPEED_REPORT_METRICS
-        )
-        for metric in metrics:
+        for metric in SPEED_REPORT_METRICS:
             b = base_s.get(row, {}).get(metric)
             f = fresh_s.get(row, {}).get(metric)
             if b is None and f is None:

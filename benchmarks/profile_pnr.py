@@ -78,8 +78,7 @@ def profile_design(netlist, seed: int = 0) -> dict:
     evaluated = anneal_stats.get("evaluated", steps)
 
     router = Router(
-        design, placement, (array.n_rows, array.n_cols), region,
-        rng=rng, array=array,
+        design, placement, (array.n_rows, array.n_cols), region, array=array,
     )
     t0 = time.perf_counter()
     routes = router.route_design(strict=True)
@@ -114,67 +113,6 @@ def profile_design(netlist, seed: int = 0) -> dict:
     }
 
 
-def profile_fleet(netlist, *, replicas: int = 4, seed: int = 0) -> dict:
-    """Parallel-tempering fleet metrics on one design.
-
-    Anneals the same seeded placement three ways — single replica, an
-    N-replica fleet on one worker, the same fleet on ``workers=None``
-    (auto pool) — and records the replica-exchange acceptance rate plus
-    the fleet's wall-clock speedup from the process pool.  The fleet is
-    byte-identical across worker counts, so the speedup row measures
-    pool efficiency only (1.0x on a single-CPU runner, by design).
-    """
-    from repro.fabric.floorplan import Region
-    from repro.pnr.flow import suggest_array
-    from repro.pnr.place import anneal_placement, initial_placement
-    from repro.pnr.techmap import map_netlist
-
-    design = map_netlist(netlist)
-    array = suggest_array(design)
-    region = Region("bench", 0, 0, array.n_rows, array.n_cols)
-    seed_placement = initial_placement(design, region, random.Random(seed))
-
-    gc.collect()
-    t0 = time.perf_counter()
-    anneal_placement(design, seed_placement, random.Random(seed))
-    t_single = time.perf_counter() - t0
-
-    stats: dict = {}
-    gc.collect()
-    t0 = time.perf_counter()
-    anneal_placement(
-        design, seed_placement, random.Random(seed),
-        replicas=replicas, workers=1, stats=stats,
-    )
-    t_serial = time.perf_counter() - t0
-
-    gc.collect()
-    t0 = time.perf_counter()
-    anneal_placement(
-        design, seed_placement, random.Random(seed),
-        replicas=replicas, workers=None,
-    )
-    t_pool = time.perf_counter() - t0
-
-    attempts = stats.get("exchange_attempts", 0)
-    return {
-        "replicas": replicas,
-        "evaluated": stats.get("evaluated", 0),
-        "exchange_attempts": attempts,
-        "exchange_accepted": stats.get("exchange_accepted", 0),
-        "exchange_accept_rate": (
-            round(stats.get("exchange_accepted", 0) / attempts, 3)
-            if attempts else None
-        ),
-        "single_replica_s": round(t_single, 4),
-        "fleet_serial_s": round(t_serial, 4),
-        "fleet_pool_s": round(t_pool, 4),
-        "fleet_pool_speedup": (
-            round(t_serial / t_pool, 2) if t_pool > 0 else None
-        ),
-    }
-
-
 def run_pnr_speed() -> dict[str, dict]:
     """The ``microbench.pnr_speed`` table: per-stage seconds + throughput."""
     from repro.datapath.adder import ripple_carry_netlist
@@ -187,9 +125,7 @@ def run_pnr_speed() -> dict[str, dict]:
         "rca8": ripple_carry_netlist(8),
         "mul3_array": array_multiplier_netlist(3),
     }
-    speed = {name: profile_design(nl) for name, nl in designs.items()}
-    speed["replica_fleet_rca8"] = profile_fleet(ripple_carry_netlist(8))
-    return speed
+    return {name: profile_design(nl) for name, nl in designs.items()}
 
 
 def format_table(speed: dict[str, dict]) -> str:
@@ -201,24 +137,13 @@ def format_table(speed: dict[str, dict]) -> str:
     ]
     for name, row in speed.items():
         if "gates" not in row:
-            continue  # fleet row: formatted below
+            continue  # a row this table does not know how to format
         lines.append(
             f"  {name:<20} {row['gates']:>5} {row['seed_s']:>7.3f} "
             f"{row['anneal_s']:>7.3f} {row['route_s']:>7.3f} "
             f"{row['sta_s']:>7.3f} {row['emit_s']:>7.3f} "
             f"{row['anneal_moves_per_s'] or 0:>9,} "
             f"{row['routed_nets_per_s'] or 0:>7,}"
-        )
-    for name, row in speed.items():
-        if "gates" in row:
-            continue
-        rate = row.get("exchange_accept_rate")
-        lines.append(
-            f"  {name}: {row['replicas']} replicas, "
-            f"exchange accept {rate if rate is not None else 'n/a'}, "
-            f"fleet {row['fleet_serial_s']:.3f}s serial / "
-            f"{row['fleet_pool_s']:.3f}s pooled "
-            f"({row['fleet_pool_speedup'] or 0:.2f}x)"
         )
     return "\n".join(lines)
 

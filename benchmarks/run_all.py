@@ -131,18 +131,14 @@ def microbench_pnr() -> dict:
     """PnR quality and timing: wirelength, routing burn, cycle time.
 
     ``quality`` is per-design (includes the scale designs: multiplier,
-    accumulator step); ``timing_driven`` compares wirelength-only vs
-    timing-driven compiles on rca8 and the array multipliers (mul4
-    single-array included — the incremental engine made it affordable);
-    ``sharded`` compiles mul4, rca16 and rca32 across multiple chiplet
+    accumulator step); ``sharded`` compiles mul4, rca16 and rca32 across multiple chiplet
     arrays (shard count, channel cut, composed system cycle time).
     """
     sys.path.insert(0, str(HERE))
-    from bench_pnr import run_pnr_quality, run_pnr_sharded, run_pnr_timing_driven
+    from bench_pnr import run_pnr_quality, run_pnr_sharded
 
     return {
         "quality": run_pnr_quality(),
-        "timing_driven": run_pnr_timing_driven(),
         "sharded": run_pnr_sharded(),
     }
 
@@ -229,11 +225,6 @@ def main() -> int:
         f"{fig10['cells_route']} route cells, wirelength "
         f"{fig10['wirelength']}, cycle {fig10['cycle_time']}, "
         f"compiled in {fig10['compile_s']}s"
-    )
-    rca8 = micro["pnr"]["timing_driven"]["rca8"]
-    print(
-        f"  PnR rca8 timing : cycle {rca8['cycle_hpwl']} (HPWL) -> "
-        f"{rca8['cycle_timing_driven']} (timing-driven)"
     )
     mul4 = micro["pnr"]["sharded"]["mul4_array"]
     print(

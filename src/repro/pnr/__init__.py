@@ -2,24 +2,21 @@
 
 The compile path the paper implies but never spells out — "the same
 components can be used interchangeably for logic and interconnection"
-(Section 4) — realised as four stages over the backend-neutral IR:
+(Section 4) — realised as five stages over the backend-neutral IR:
 
 1. **tech-map** (:mod:`repro.pnr.techmap`): IR cells to NAND-row gates
    and stateful cell pairs;
 2. **place** (:mod:`repro.pnr.place`): deterministic ring-scan seeding
    plus simulated annealing over cached incremental delta-HPWL bounding
    boxes, under the fabric's monotone east/north dominance rule —
-   candidates priced in vectorized batches, optionally as a
-   parallel-tempering replica fleet fanned out through
-   :mod:`repro.pnr.parallel`;
+   candidates priced in vectorized batches;
 3. **route** (:mod:`repro.pnr.route`): A* maze routing on one reusable
    generation-stamped search grid, burning blank cells as
    feed-throughs, with journal-replay rip-up-and-retry (see
    ``docs/performance.md``);
 4. **timing** (:mod:`repro.pnr.timing`): static timing analysis over
    the routed design — worst slack, critical path, achievable cycle
-   time — whose criticality weights drive the optional timing-driven
-   place/route loop (``compile_to_fabric(..., timing_driven=True)``);
+   time, per-net criticality;
 5. **emit** (:mod:`repro.pnr.emit`): validated ``CellConfig`` frames on
    a :class:`repro.fabric.array.CellArray`, ready for bitstream
    serialisation and either simulation backend.
@@ -68,12 +65,10 @@ from repro.pnr.place import (
     anneal_placement,
     anneal_temperatures,
     default_anneal_steps,
-    derive_t_start,
     dominance_violations,
     gate_levels,
     hpwl,
     initial_placement,
-    weighted_hpwl,
 )
 from repro.pnr.partition import (
     Partition,
@@ -134,7 +129,6 @@ __all__ = [
     "anneal_placement",
     "anneal_temperatures",
     "default_anneal_steps",
-    "derive_t_start",
     "dominance_violations",
     "TaskPool",
     "parallel_map",
@@ -142,7 +136,6 @@ __all__ = [
     "gate_levels",
     "hpwl",
     "initial_placement",
-    "weighted_hpwl",
     "HOP_DELAY",
     "PathStep",
     "TimingReport",

@@ -39,7 +39,6 @@ golden placement.  See ``docs/defect-tolerance.md``.
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -402,7 +401,7 @@ def repair_for_die(
         This die's defects; its shape must match the golden array.
     target_period, seed:
         As in :func:`repro.pnr.flow.compile_to_fabric`; the seed feeds
-        only the displaced gates' greedy re-seed and the router.
+        only the displaced gates' greedy re-seed.
     release_budget_frac:
         Cap on the fraction of gates the dominance ripple may unfix
         before the warm path gives up (see
@@ -486,7 +485,6 @@ def repair_for_die(
             placement,
             shape,
             golden.region,
-            rng=random.Random(seed),
             warm_routes=golden.routes,
             warm_moved=moved,
             defects=defect_map,

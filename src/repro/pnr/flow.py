@@ -6,11 +6,8 @@
 emit (:mod:`repro.pnr.emit`) — with seeded retry: a failed routing
 attempt re-places with a different annealing seed (and, when the array
 is flow-owned, a larger grid) before giving up.  Every result carries a
-:class:`repro.pnr.timing.TimingReport`; with ``timing_driven=True`` the
-flow additionally re-places with criticality-weighted HPWL and re-routes
-critical nets first, keeping whichever candidate achieves the shorter
-cycle time (so timing-driven compiles never lose to wirelength-only
-ones).  See ``docs/compile-flow.md`` and ``docs/timing-model.md``.
+:class:`repro.pnr.timing.TimingReport`.  See ``docs/compile-flow.md``
+and ``docs/timing-model.md``.
 
 :func:`verify_equivalence` closes the loop for combinational designs:
 the configured array is lowered back to the netlist IR and swept with
@@ -46,7 +43,6 @@ from repro.pnr.place import (
     Placement,
     PlacementError,
     anneal_placement,
-    default_anneal_steps,
     gate_levels,
     hpwl,
     initial_placement,
@@ -258,13 +254,10 @@ def compile_to_fabric(
     seed: int = 0,
     anneal_steps: int | None = None,
     max_attempts: int = 6,
-    timing_driven: bool = False,
-    timing_weight: float = 2.0,
     target_period: int | None = None,
     shards: int | None = None,
     max_side: int | None = None,
     workers: int | None = None,
-    replicas: int = 1,
     defect_map=None,
 ) -> PnrResult | ShardedPnrResult:
     """Place and route a netlist onto a cell array.
@@ -283,17 +276,6 @@ def compile_to_fabric(
         array when ``None``) — cells there must be blank.
     seed, anneal_steps, max_attempts:
         Determinism and effort knobs; each retry reseeds the annealer.
-    timing_driven:
-        Run the timing feedback loop: analyse the wirelength-driven
-        candidate, re-anneal with per-net criticality weights
-        (``1 + timing_weight * criticality`` scaling each net's HPWL)
-        and criticality-aware routing, and keep whichever candidate
-        achieves the shorter cycle time.  The result's cycle time is
-        therefore never worse than the HPWL-only compile's.
-    timing_weight:
-        Timing/wirelength trade-off knob: 0 reduces the weighted
-        objective to plain HPWL; larger values shrink critical nets
-        more aggressively at the expense of total wirelength.
     target_period:
         Required cycle time for slack reporting (default: the design's
         ideal-wire logic depth — see :mod:`repro.pnr.timing`).
@@ -306,21 +288,13 @@ def compile_to_fabric(
         most ``max_side`` x ``max_side`` cells).  Incompatible with an
         explicit ``array`` / ``region``.  See ``docs/sharding.md``.
     workers:
-        Width of the ``concurrent.futures`` pool the flow's independent
-        tasks fan out on: per-shard compiles for sharded runs, and the
-        annealing replicas when ``replicas > 1``.  ``None`` (the
-        default) auto-selects one worker per task capped at the CPU
-        count; ``0``/``1`` run everything serially on the calling
-        thread.  Results are bit-identical regardless of the worker
-        count — parallelism is a wall-clock knob only.
-    replicas:
-        ``N > 1`` anneals N parallel-tempering replicas at staggered
-        temperatures with periodic Metropolis exchanges, keeping the
-        best placement found by any replica (see
-        :func:`repro.pnr.place.anneal_placement`).  Composes with
-        sharding: each shard's compile anneals its own N-replica fleet
-        (serially, inside the shard's pool slot).  ``replicas=1``
-        (default) is the single-replica path.
+        Width of the ``concurrent.futures`` pool a sharded compile's
+        per-shard compiles fan out on.  ``None`` (the default)
+        auto-selects one worker per shard capped at the CPU count;
+        ``0``/``1`` run everything serially on the calling thread.
+        Results are bit-identical regardless of the worker count —
+        parallelism is a wall-clock knob only.  A single-array compile
+        ignores it.
     defect_map:
         A :class:`repro.pnr.defects.DefectMap` describing one die's
         dead cells, dead wire segments and stuck configuration rows.
@@ -355,9 +329,7 @@ def compile_to_fabric(
         return compile_sharded(
             netlist, n_shards=shards, max_side=max_side, seed=seed,
             anneal_steps=anneal_steps, max_attempts=max_attempts,
-            timing_driven=timing_driven, timing_weight=timing_weight,
             target_period=target_period, workers=workers,
-            replicas=replicas,
         )
     try:
         design = map_netlist(netlist)
@@ -367,9 +339,7 @@ def compile_to_fabric(
     return _compile_mapped(
         design, netlist, array=array, region=region, seed=seed,
         anneal_steps=anneal_steps, max_attempts=max_attempts,
-        timing_driven=timing_driven, timing_weight=timing_weight,
-        target_period=target_period, replicas=replicas, workers=workers,
-        defect_map=defect_map,
+        target_period=target_period, defect_map=defect_map,
     )
 
 
@@ -382,12 +352,8 @@ def _compile_mapped(
     seed: int = 0,
     anneal_steps: int | None = None,
     max_attempts: int = 6,
-    timing_driven: bool = False,
-    timing_weight: float = 2.0,
     target_period: int | None = None,
     max_side: int | None = None,
-    replicas: int = 1,
-    workers: int | None = 0,
     defect_map=None,
 ) -> PnrResult:
     """The place/route/time/emit retry ladder over a mapped design.
@@ -465,10 +431,10 @@ def _compile_mapped(
             if attempt % 2 == 0:
                 placement = anneal_placement(
                     design, placement, rng, steps=anneal_steps,
-                    replicas=replicas, workers=workers, blocked=blocked,
+                    blocked=blocked,
                 )
             router = Router(
-                design, placement, shape, reg, rng=rng, array=target,
+                design, placement, shape, reg, array=target,
                 defects=defect_map,
             )
             routes = router.route_design(strict=True)
@@ -481,13 +447,6 @@ def _compile_mapped(
             design, placement, state=router.state, routes=routes,
             target_period=target_period,
         )
-        if timing_driven:
-            placement, router, routes, report = _timing_driven_candidate(
-                design, target, reg, placement, router, routes, report,
-                seed=seed + 7919 * attempt, anneal_steps=anneal_steps,
-                timing_weight=timing_weight, target_period=target_period,
-                defects=defect_map,
-            )
         counts = emit_design(target, router.state)
         if defect_map is not None:
             # The construction above guarantees cleanliness; this check
@@ -506,101 +465,6 @@ def _compile_mapped(
         f"could not compile {netlist.name!r} after {max_attempts} attempts: "
         f"{last_error}"
     ) from last_error
-
-
-#: Acceptance probability the weight-ladder rungs derive their starting
-#: temperature from: cool enough that a warm-started refinement mostly
-#: descends, warm enough to hop out of shallow minima.
-_RUNG_T_ACCEPT = 0.2
-
-
-def _timing_driven_candidate(
-    design, target, reg, placement, router, routes, report,
-    *, seed, anneal_steps, timing_weight, target_period, defects=None,
-):
-    """Re-place/route under criticality weights; keep the fastest result.
-
-    The baseline candidate is the wirelength-only compile.  Each
-    challenger **warm-starts** from the best placement so far: a short,
-    cool anneal (a fraction of the full budget, its ``t_start``
-    re-derived per rung from the :data:`_RUNG_T_ACCEPT` acceptance
-    target against that rung's weighted landscape) with every net's
-    HPWL scaled by
-    ``1 + w * criticality`` (criticality from the best report so far) —
-    refining the previous rung's answer instead of re-annealing from the
-    greedy seed.  Routing reuses the previous rung's work too: nets none
-    of whose endpoints moved replay their committed route journal, and
-    only the disturbed nets are searched again (see
-    :meth:`repro.pnr.route.Router.route_design`).  Annealing is
-    stochastic, so a short ladder of weights around ``timing_weight`` is
-    tried rather than a single shot.  The candidate with the shortest
-    cycle time (wirelength breaking ties) wins, so ``timing_driven=True``
-    can only match or improve the HPWL-only cycle time.
-    """
-    best = (placement, router, routes, report)
-    best_wl = sum(r.wirelength for r in routes.values())
-    if anneal_steps is not None:
-        rung_steps = anneal_steps
-    else:
-        rung_steps = max(200, default_anneal_steps(len(design.gates)) // 8)
-    # Two rungs: the requested weight and an aggressive one.  (The old
-    # engine also tried 0.5x, but each rung re-annealed from scratch —
-    # warm-started rungs refine the same placement, so the middle rung
-    # stopped earning its wall-clock.)
-    for trial, w in enumerate((timing_weight, 2.0 * timing_weight)):
-        if w <= 0:
-            continue
-        checkpoint()
-        b_placement, _, b_routes, b_report = best
-        weights = {
-            net: 1.0 + w * crit for net, crit in b_report.criticality.items()
-        }
-        rng = random.Random(seed ^ (0x5EED71 + trial))
-        # Each rung cools from its own landscape: t_start is re-derived
-        # from the acceptance target against *this* rung's weighted
-        # objective and warm placement, rather than one region-sized
-        # constant shared by every rung (which overheated cool rungs —
-        # a warm-started refinement wants low acceptance, and the right
-        # temperature for that depends on the weights in play).
-        t_placement = anneal_placement(
-            design, b_placement, rng, steps=rung_steps,
-            net_weights=weights, t_start_accept=_RUNG_T_ACCEPT,
-            blocked=defects.dead_cells if defects is not None else None,
-        )
-        moved = {
-            name
-            for name, pos in t_placement.positions.items()
-            if b_placement.positions[name] != pos
-        }
-        if not moved and trial > 0:
-            # The cool rung accepted nothing: routing would replay the
-            # best candidate verbatim (its critical nets were already
-            # re-searched on the rung that produced it).
-            continue
-        try:
-            t_router = Router(
-                design, t_placement, (target.n_rows, target.n_cols), reg,
-                rng=rng, array=target, net_criticality=b_report.criticality,
-                warm_routes=b_routes, warm_moved=moved, defects=defects,
-            )
-            t_routes = t_router.route_design(strict=True)
-        except (PlacementError, RoutingError):
-            continue
-        t_report = analyze_timing(
-            design, t_placement, state=t_router.state, routes=t_routes,
-            target_period=target_period,
-        )
-        t_wl = sum(r.wirelength for r in t_routes.values())
-        if (t_report.cycle_time, t_wl) < (best[3].cycle_time, best_wl):
-            best = (t_placement, t_router, t_routes, t_report)
-            best_wl = t_wl
-        else:
-            # A warm-started rung that could not improve the best
-            # candidate means the placement is at a local optimum for
-            # this criticality profile — a stronger weight on the same
-            # start almost never changes that, so stop climbing.
-            break
-    return best
 
 
 def _check_region(array: CellArray, region: Region) -> None:

@@ -337,7 +337,7 @@ def compile_incremental(
     )
     try:
         router = Router(
-            design, placement, shape, region, rng=random.Random(seed),
+            design, placement, shape, region,
             warm_routes=base.routes, warm_moved=moved,
         )
         routes = router.route_design(strict=True)

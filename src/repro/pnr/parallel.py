@@ -1,19 +1,16 @@
 """Deterministic fan-out helpers shared by the PnR parallel paths.
 
-Three consumers, one contract: the sharded flow
+Two consumers, one contract: the sharded flow
 (:func:`repro.pnr.partition.compile_sharded`) fans independent
-per-shard compiles onto a *thread* pool, the placer fleet
-(:func:`repro.pnr.place.anneal_placement` with ``replicas > 1``) fans
-annealing-replica rounds onto a *process* pool, and the compile
-service (:class:`repro.service.CompileService`) runs whole jobs —
-including the persisted store's deserialise-on-hit IO, which must not
-block the submitting thread — on a long-lived :class:`TaskPool`.  All
-demand the same property: **results must be byte-identical for any
-worker count**, so
-the helpers here never let pool scheduling leak into results — tasks
-are mapped in submission order and returned in submission order
-(``Executor.map`` semantics), and the serial path is the plain list
-comprehension.
+per-shard compiles onto a thread pool, and the compile service
+(:class:`repro.service.CompileService`) runs whole jobs — including
+the persisted store's deserialise-on-hit IO, which must not block the
+submitting thread — on a long-lived :class:`TaskPool`.  Both demand the
+same property: **results must be byte-identical for any worker
+count**, so the helpers here never let pool scheduling leak into
+results — tasks are mapped in submission order and returned in
+submission order (``Executor.map`` semantics), and the serial path is
+the plain list comprehension.
 
 ``workers`` convention (used across the compile flow):
 
@@ -313,27 +310,16 @@ def resolve_workers(n_items: int, workers: int | None) -> int:
 
 
 def parallel_map(
-    fn: Callable,
-    items: Iterable,
-    workers: int | None = None,
-    *,
-    processes: bool = False,
+    fn: Callable, items: Iterable, workers: int | None = None
 ) -> list:
-    """``[fn(x) for x in items]``, optionally on an executor pool.
+    """``[fn(x) for x in items]``, optionally on a thread pool.
 
     Results come back in item order whatever the pool width, and the
     first exception propagates (remaining futures are drained by the
     executor's context manager) — so callers observe serial semantics.
-    With ``processes=True`` the map runs on a
-    :class:`~concurrent.futures.ProcessPoolExecutor` (``fn`` and every
-    item must be picklable: use module-level functions); otherwise a
-    thread pool, which suffices when the work releases the GIL or the
-    caller only wants overlap of independent pure-Python compiles.
     """
     items = list(items) if not isinstance(items, Sequence) else items
-    if _ACTIVE_PLAN is not None and not processes:
-        # (process maps ship module-level functions to workers that do
-        # not share this process's active plan — they stay fault-free)
+    if _ACTIVE_PLAN is not None:
         # Fire the worker fault point once per item, indexed by the
         # item's submission position — the same tokens whatever the
         # worker count, so chaos plans stay worker-invariant.  (Bound
@@ -349,8 +335,7 @@ def parallel_map(
     n_workers = resolve_workers(len(items), workers)
     if n_workers <= 1:
         return [fn(item) for item in items]
-    pool_cls = ProcessPoolExecutor if processes else ThreadPoolExecutor
-    with pool_cls(max_workers=n_workers) as pool:
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(fn, items))
 
 

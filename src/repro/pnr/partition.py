@@ -928,12 +928,9 @@ def _compile_shards(
     seed: int,
     anneal_steps: int | None,
     max_attempts: int,
-    timing_driven: bool,
-    timing_weight: float,
     target_period: int | None,
     max_side: int | None,
     workers: int | None,
-    replicas: int = 1,
 ) -> list[PnrResult]:
     """Compile every shard of a partition, concurrently when asked.
 
@@ -942,12 +939,9 @@ def _compile_shards(
     routing state — so they fan out through
     :func:`repro.pnr.parallel.parallel_map` on a thread pool
     (``workers=None`` auto-sizes it to ``min(shards, cpu_count)``;
-    ``0``/``1`` compile serially).  A shard's ``replicas``-wide
-    annealing fleet runs serially inside its pool slot — the shard
-    fan-out already owns the machine's parallelism.  Results are
-    returned in shard order and are bit-identical for any worker
-    count; the first shard failure propagates as
-    :class:`repro.pnr.flow.PnrError`.
+    ``0``/``1`` compile serially).  Results are returned in shard order
+    and are bit-identical for any worker count; the first shard failure
+    propagates as :class:`repro.pnr.flow.PnrError`.
     """
 
     def compile_one(item: tuple[int, MappedDesign]) -> PnrResult:
@@ -955,9 +949,8 @@ def _compile_shards(
         return _compile_mapped(
             sub, shard_source_netlist(sub),
             seed=seed + 101 * i, anneal_steps=anneal_steps,
-            max_attempts=max_attempts, timing_driven=timing_driven,
-            timing_weight=timing_weight, target_period=target_period,
-            max_side=max_side, replicas=replicas, workers=0,
+            max_attempts=max_attempts, target_period=target_period,
+            max_side=max_side,
         )
 
     return parallel_map(compile_one, enumerate(partition.shards), workers)
@@ -971,12 +964,9 @@ def compile_sharded(
     seed: int = 0,
     anneal_steps: int | None = None,
     max_attempts: int = 6,
-    timing_driven: bool = False,
-    timing_weight: float = 2.0,
     target_period: int | None = None,
     refine: bool = True,
     workers: int | None = None,
-    replicas: int = 1,
 ) -> ShardedPnrResult:
     """Compile one netlist across several chiplet cell arrays.
 
@@ -988,10 +978,8 @@ def compile_sharded(
     compiles; the default ``None`` auto-selects ``min(shards,
     os.cpu_count())``, ``0``/``1`` compile serially (the exact
     debugging path), and results are bit-identical for any worker
-    count.  ``replicas > 1`` anneals a parallel-tempering fleet per
-    shard (serially inside that shard's pool slot).  All other knobs
-    match :func:`repro.pnr.flow.compile_to_fabric` and apply per
-    shard.
+    count.  All other knobs match :func:`repro.pnr.flow.compile_to_fabric`
+    and apply per shard.
 
     Returns a :class:`ShardedPnrResult`; raises
     :class:`repro.pnr.flow.PnrError` (or :class:`PartitionError`) when
@@ -1024,9 +1012,8 @@ def compile_sharded(
         try:
             results = _compile_shards(
                 partition, seed=seed, anneal_steps=anneal_steps,
-                max_attempts=max_attempts, timing_driven=timing_driven,
-                timing_weight=timing_weight, target_period=target_period,
-                max_side=max_side, workers=workers, replicas=replicas,
+                max_attempts=max_attempts, target_period=target_period,
+                max_side=max_side, workers=workers,
             )
         except PnrError as e:
             last_error = e

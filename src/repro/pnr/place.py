@@ -32,14 +32,13 @@ can be compiled into a carved-out module slot of a shared array.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.fabric.floorplan import Region
-from repro.pnr.parallel import checkpoint, parallel_map, resolve_workers
+from repro.pnr.parallel import checkpoint
 from repro.pnr.techmap import MappedDesign, MappedGate
 
 
@@ -163,24 +162,6 @@ def net_hpwl(design: MappedDesign, placement: Placement, net: str) -> int:
 def hpwl(design: MappedDesign, placement: Placement) -> int:
     """Total half-perimeter wirelength over all placed nets."""
     return sum(net_hpwl(design, placement, net) for net in design.sinks_of)
-
-
-def weighted_hpwl(
-    design: MappedDesign,
-    placement: Placement,
-    net_weights: dict[str, float],
-) -> float:
-    """HPWL with per-net multipliers — the timing-driven objective.
-
-    Weights come from :func:`repro.pnr.timing.analyze_timing` criticality
-    (``1 + timing_weight * criticality`` in the flow): nets on or near
-    the critical path shrink preferentially, at the cost of slack-rich
-    nets stretching.  Unlisted nets weigh 1.0.
-    """
-    return sum(
-        net_hpwl(design, placement, net) * net_weights.get(net, 1.0)
-        for net in design.sinks_of
-    )
 
 
 def initial_placement(
@@ -468,16 +449,10 @@ class IncrementalHpwl:
     Gate positions live in numpy int32 arrays (``rows`` / ``cols``,
     indexed by ``index[name]``); :meth:`propose` prices a move without
     committing, :meth:`commit` applies it, and :attr:`total` always
-    equals :func:`weighted_hpwl` of the current state (``hpwl`` when no
-    weights were given).
+    equals :func:`hpwl` of the current state.
     """
 
-    def __init__(
-        self,
-        design: MappedDesign,
-        placement: Placement,
-        net_weights: dict[str, float] | None = None,
-    ) -> None:
+    def __init__(self, design: MappedDesign, placement: Placement) -> None:
         self.design = design
         names = list(design.gates)
         self.names = names
@@ -495,7 +470,6 @@ class IncrementalHpwl:
         # One pin list per net: (gate index, column offset) — the output
         # pin sits on the gate's east cell, sinks on its input cell.
         # Multiplicity is kept (a pair macro may read a net twice).
-        weights = net_weights or {}
         net_names: list[str] = []
         net_id: dict[str, int] = {}
         pins: list[list[tuple[int, int]]] = []
@@ -518,7 +492,6 @@ class IncrementalHpwl:
                     pins[k].append((gi, 0))
         self.net_names = net_names
         self.net_pins = pins
-        self.weight = [float(weights.get(nm, 1.0)) for nm in net_names]
 
         # Per-gate incident pin occurrences, grouped by net.
         by_gate: list[dict[int, list[int]]] = [{} for _ in range(n)]
@@ -533,7 +506,7 @@ class IncrementalHpwl:
         # (rmin, rmax, cmin, cmax, nrmin, nrmax, ncmin, ncmax).  A 2-D
         # numpy array rather than a list of tuples so the batched
         # evaluator can gather every candidate's incident boxes in one
-        # fancy-index; the scalar path reads rows back as python ints
+        # fancy-index; :meth:`propose` reads rows back as python ints
         # through :meth:`_box`.
         m = len(net_names)
         self._boxes = np.zeros((m, 8), dtype=np.int64)
@@ -541,7 +514,7 @@ class IncrementalHpwl:
         for k in range(m):
             box = self._scan(k, -1, 0, 0)
             self._boxes[k] = box
-            self.total += self.weight[k] * ((box[1] - box[0]) + (box[3] - box[2]))
+            self.total += (box[1] - box[0]) + (box[3] - box[2])
 
     # -- internals -------------------------------------------------------
     def _box(self, k: int) -> list[int]:
@@ -626,7 +599,7 @@ class IncrementalHpwl:
     def propose(
         self, gi: int, new_r: int, new_c: int
     ) -> tuple[float, list[tuple[int, tuple]]]:
-        """Exact weighted-HPWL delta of moving gate ``gi``; commits nothing.
+        """Exact HPWL delta of moving gate ``gi``; commits nothing.
 
         Returns ``(delta, updates)``; pass ``updates`` to :meth:`commit`
         to apply the move.
@@ -634,15 +607,13 @@ class IncrementalHpwl:
         old_r, old_c = int(self.rows[gi]), int(self.cols[gi])
         delta = 0.0
         updates: list[tuple[int, tuple]] = []
-        weight = self.weight
         for k, offs in self.gate_nets[gi]:
             old = self._box(k)
             new = self._bbox_after(k, gi, offs, old_r, old_c, new_r, new_c)
             d = ((new[1] - new[0]) + (new[3] - new[2])) - (
                 (old[1] - old[0]) + (old[3] - old[2])
             )
-            if d:
-                delta += weight[k] * d
+            delta += d
             updates.append((k, new))
         return delta, updates
 
@@ -670,7 +641,7 @@ class BatchEval:
     """A priced batch of candidate moves, ready to commit selectively.
 
     Produced by :meth:`BatchMoveEvaluator.propose_batch`.  ``deltas[j]``
-    is the exact weighted-HPWL delta of candidate ``j`` against the
+    is the exact HPWL delta of candidate ``j`` against the
     state the batch was priced on; :meth:`nets_of` lists the nets that
     pricing read, which is what conflict screening needs: a candidate
     stays commit-safe for as long as none of those nets has been
@@ -686,7 +657,8 @@ class BatchEval:
     ent_net: np.ndarray
     #: Fast-path replacement bbox rows, one per entry.
     new_boxes: np.ndarray
-    #: Candidates priced through the scalar fallback: j -> propose updates.
+    #: Candidates priced through :meth:`IncrementalHpwl.propose`:
+    #: j -> propose updates.
     slow: dict[int, list]
 
     def nets_of(self, j: int) -> np.ndarray:
@@ -702,17 +674,16 @@ class BatchMoveEvaluator:
     back from one vectorized pass over the cached bbox/edge-count rows.
     The per-pin fast path mirrors :meth:`IncrementalHpwl._bbox_after`
     arithmetic exactly — remove the old pin from the edge counts, slide
-    the edge if the new pin extends it.  The cases the scalar code
-    rescans (a move vacating a bounding edge whose pin count hits zero)
-    are rescanned here too, but vectorized: a per-net pin CSR and
-    segmented ``reduceat`` reductions recompute exactly the boxes
-    :meth:`IncrementalHpwl._scan` would.  Only gates reading one net
-    through several pins (``nand(a, a)`` style — the one-pin update
-    does not compose) fall back to the scalar
-    :meth:`IncrementalHpwl.propose`.  Deltas are bit-equal to the
-    scalar path's (same operands, same accumulation order), which is
-    what keeps the annealer's ``cache == scratch`` invariant intact
-    under batching.
+    the edge if the new pin extends it.  The cases
+    :meth:`IncrementalHpwl.propose` rescans (a move vacating a bounding
+    edge whose pin count hits zero) are rescanned here too, but
+    vectorized: a per-net pin CSR and segmented ``reduceat`` reductions
+    recompute exactly the boxes :meth:`IncrementalHpwl._scan` would.
+    Only gates reading one net through several pins (``nand(a, a)``
+    style — the one-pin update does not compose) fall back to
+    :meth:`IncrementalHpwl.propose` itself.  Deltas are bit-equal to
+    one-move pricing, which is what keeps the annealer's
+    ``cache == scratch`` invariant intact under batching.
     """
 
     def __init__(self, cost: IncrementalHpwl) -> None:
@@ -727,8 +698,8 @@ class BatchMoveEvaluator:
                 if len(offs) > 1:
                     # One net read through several pins of the same
                     # gate: the one-pin edge-count update below does
-                    # not compose, price such gates through the scalar
-                    # path (they are rare — nand(a, a) style).
+                    # not compose, price such gates one move at a time
+                    # (they are rare — nand(a, a) style).
                     slow[gi] = True
                 for off in offs:
                     ent_net.append(k)
@@ -738,7 +709,6 @@ class BatchMoveEvaluator:
         self.ent_net = np.asarray(ent_net, dtype=np.int64)
         self.ent_off = np.asarray(ent_off, dtype=np.int64)
         self.slow_gate = slow
-        self.net_weight = np.asarray(cost.weight, dtype=np.float64)
         self.net_npins = np.asarray(
             [len(p) for p in cost.net_pins], dtype=np.int64
         )
@@ -830,11 +800,9 @@ class BatchMoveEvaluator:
             # Entries that vacated a bounding edge: recompute their
             # nets' boxes from scratch, vectorized over all pins of all
             # rescanned nets at once — the segmented twin of
-            # :meth:`IncrementalHpwl._scan`.  (Moves shared with the
-            # scalar path hit this with the scalar-measured frequency:
-            # small 2-3 pin nets leave a lone pin on an edge often, so
-            # keeping the rescan off the scalar path is what makes the
-            # batch pass pay.)
+            # :meth:`IncrementalHpwl._scan`.  (Small 2-3 pin nets leave
+            # a lone pin on an edge often, so keeping the rescan
+            # vectorized is what makes the batch pass pay.)
             k_re = ks[re]
             g_re = g[re]
             nr_re = new_r[re]
@@ -876,8 +844,7 @@ class BatchMoveEvaluator:
         span_delta = ((n_rmax - n_rmin) + (n_cmax - n_cmin)) - (
             (rmax - rmin) + (cmax - cmin)
         )
-        d_e = self.net_weight[ks] * span_delta
-        deltas = np.bincount(reps, weights=d_e, minlength=kk)
+        deltas = np.bincount(reps, weights=span_delta, minlength=kk)
 
         new_boxes = np.empty((total, 8), dtype=np.int64)
         for col, arr in enumerate(
@@ -942,8 +909,7 @@ def anneal_temperatures(
 #: ``ceil(steps / batch_moves)`` rungs (floored at
 #: :data:`MIN_ANNEAL_RUNGS` when ``steps`` is defaulted); larger
 #: batches amortize the numpy pass better but drift further from
-#: move-by-move annealing.  768 with the 64-rung floor prices ~5x the
-#: scalar move budget in ~2/3 the wall-clock on rca8.
+#: move-by-move annealing.
 DEFAULT_BATCH_MOVES = 768
 
 #: Minimum temperature rungs for a default-budget batched anneal.  A
@@ -955,27 +921,19 @@ DEFAULT_BATCH_MOVES = 768
 MIN_ANNEAL_RUNGS = 96
 
 #: Cap on how far a default budget is boosted over
-#: :func:`default_anneal_steps`.  Batched moves are ~6x cheaper than
-#: scalar ones, so pricing up to 8x the scalar budget still compiles
-#: faster; the boost scales with design size (one x per
-#: :data:`GATES_PER_BOOST` gates) because dense designs keep improving
-#: with extra moves while a few-dozen-gate shard converges within its
-#: scalar budget — measurably, 8x budget on an rca16 shard buys
-#: nothing, on rca8 it is worth ~10% wirelength.
+#: :func:`default_anneal_steps`.  The boost scales with design size
+#: (one x per :data:`GATES_PER_BOOST` gates) because dense designs keep
+#: improving with extra moves while a few-dozen-gate shard converges
+#: within the base budget — measurably, 8x budget on an rca16 shard
+#: buys nothing, on rca8 it is worth ~10% wirelength.
 MAX_BUDGET_BOOST = 8
 
 #: Gates per unit of default-budget boost (see :data:`MAX_BUDGET_BOOST`).
 GATES_PER_BOOST = 15
 
 #: Smallest batch the default path shrinks to.  Below this the numpy
-#: pass stops amortizing and the scalar loop would be as fast.
+#: pass stops amortizing its per-batch overhead.
 MIN_BATCH_MOVES = 64
-
-#: Ratio between adjacent fleet replicas' temperature ladders.  Both
-#: ``t_start`` and ``t_end`` scale by ``stagger**i``, so the ratio of
-#: adjacent replicas' temperatures is the same at every rung — the
-#: replica-exchange criterion stays meaningful through the whole cool.
-DEFAULT_STAGGER = 1.6
 
 
 def _pad_indices(lists: list[list[int]], sentinel: int) -> np.ndarray:
@@ -988,25 +946,23 @@ def _pad_indices(lists: list[list[int]], sentinel: int) -> np.ndarray:
 
 
 class _AnnealContext:
-    """One annealing replica's working state (cache, occupancy, windows).
+    """The annealer's working state (cache, occupancy, windows).
 
-    Everything :func:`anneal_placement`'s batched path needs, bundled so
-    a fleet replica can be rebuilt from shipped positions inside a
-    worker process: the exact :class:`IncrementalHpwl` cache, the
-    occupancy grid, padded fan-in/fan-out matrices for vectorized
-    dominance windows, and best-state tracking.
+    Everything :func:`anneal_placement` needs: the exact
+    :class:`IncrementalHpwl` cache, the occupancy grid, padded
+    fan-in/fan-out matrices for vectorized dominance windows, and
+    best-state tracking.
     """
 
     def __init__(
         self,
         design: MappedDesign,
         placement: Placement,
-        net_weights: dict[str, float] | None = None,
         blocked: frozenset[tuple[int, int]] | None = None,
     ) -> None:
         region = placement.region
         self.region = region
-        self.cost = IncrementalHpwl(design, placement, net_weights)
+        self.cost = IncrementalHpwl(design, placement)
         cost = self.cost
         names = cost.names
         rows, cols, widths = cost.rows, cost.cols, cost.widths
@@ -1214,206 +1170,14 @@ class _AnnealContext:
             "batches": len(temps),
         }
 
-    def derive_t_start(
-        self, accept_target: float, samples: int, seed: int
-    ) -> float:
-        """A ``t_start`` matching an acceptance target on this landscape.
-
-        Prices ``samples`` random in-window moves against the current
-        state (committing nothing) and returns the temperature at which
-        a mean-sized uphill move is accepted with ``accept_target``
-        probability: ``t = mean(uphill deltas) / ln(1 / target)``.
-        Deterministic in ``seed``; falls back to 1.0 when the sample
-        finds no uphill move (already frozen landscapes).
-        """
-        if not len(self.movable):
-            return 1.0
-        gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((seed, 0x715A27)))
-        )
-        pick, trs, tcs, valid = self.draw(gen, samples)
-        idx = np.nonzero(valid)[0]
-        if not len(idx):
-            return 1.0
-        deltas, _ = self.evaluator.propose_batch(pick[idx], trs[idx], tcs[idx])
-        uphill = deltas[deltas > 0]
-        if not len(uphill):
-            return 1.0
-        target = min(max(accept_target, 1e-3), 0.999)
-        return float(uphill.mean() / -math.log(target))
-
-    def positions(self) -> dict[str, tuple[int, int]]:
-        rows, cols = self.cost.rows, self.cost.cols
-        return {
-            name: (int(rows[i]), int(cols[i]))
-            for i, name in enumerate(self.cost.names)
-        }
-
-    def best_positions(self) -> dict[str, tuple[int, int]]:
-        return {
-            name: (int(self.best_rows[i]), int(self.best_cols[i]))
-            for i, name in enumerate(self.cost.names)
-        }
-
     def best_placement(self) -> Placement:
-        return Placement(region=self.region, positions=self.best_positions())
-
-
-def derive_t_start(
-    design: MappedDesign,
-    placement: Placement,
-    net_weights: dict[str, float] | None = None,
-    *,
-    accept_target: float = 0.5,
-    samples: int = 256,
-    seed: int = 0,
-    blocked: frozenset[tuple[int, int]] | None = None,
-) -> float:
-    """Sample-derived starting temperature for ``anneal_placement``.
-
-    See :meth:`_AnnealContext.derive_t_start`: the returned temperature
-    accepts a mean-sized uphill move with probability ``accept_target``
-    on *this* design/placement/weights landscape — which is what lets
-    the timing-driven ladder re-derive a fresh ``t_start`` per rung
-    instead of reusing a constant tuned for rung 0.
-    """
-    ctx = _AnnealContext(design, placement, net_weights, blocked=blocked)
-    return ctx.derive_t_start(accept_target, samples, seed)
-
-
-def _replica_round(payload: dict) -> dict:
-    """One fleet replica advancing one exchange round (a pool task).
-
-    Pure function of its payload: rebuilds the annealing state from the
-    shipped positions, runs the round's slice of the replica's
-    temperature ladder with the shipped numpy bit-generator state, and
-    returns the advanced state.  Everything in and out is picklable and
-    nothing depends on which worker (or how many) ran it — the fleet's
-    byte-identical-for-any-worker-count guarantee rests on that.
-    """
-    placement = Placement(
-        region=payload["region"], positions=dict(payload["positions"])
-    )
-    ctx = _AnnealContext(
-        payload["design"], placement, payload["net_weights"],
-        blocked=payload.get("blocked"),
-    )
-    gen = np.random.Generator(np.random.PCG64())
-    gen.bit_generator.state = payload["rng_state"]
-    counters = ctx.run_batches(
-        payload["temps"], gen, payload["batch_moves"]
-    )
-    return {
-        "positions": ctx.positions(),
-        "rng_state": gen.bit_generator.state,
-        "total": float(ctx.cost.total),
-        "best_total": float(ctx.best_total),
-        "best_positions": ctx.best_positions(),
-        "counters": counters,
-    }
-
-
-def _temper_fleet(
-    design: MappedDesign,
-    placement: Placement,
-    net_weights: dict[str, float] | None,
-    *,
-    master: int,
-    n_batches: int,
-    batch_moves: int,
-    t_start: float,
-    t_end: float,
-    replicas: int,
-    workers: int | None,
-    exchange_rounds: int,
-    stagger: float,
-    stats: dict | None,
-    blocked: frozenset[tuple[int, int]] | None = None,
-) -> Placement:
-    """Parallel-tempering over ``replicas`` staggered-temperature copies.
-
-    Replica ``i`` cools through its own geometric ladder scaled by
-    ``stagger**i`` (both endpoints, so adjacent replicas keep a constant
-    temperature ratio at every rung).  The ladders are cut into
-    ``exchange_rounds`` synchronized rounds; each round every replica
-    advances independently (fanned onto a process pool via
-    :func:`repro.pnr.parallel.parallel_map`), then adjacent pairs —
-    even pairs on even rounds, odd pairs on odd, the standard
-    checkerboard — swap *placements* with the Metropolis exchange
-    criterion ``min(1, exp((1/T_i - 1/T_j) * (E_i - E_j)))`` drawn from
-    a dedicated exchange rng.  Exchange decisions depend only on the
-    round-barrier results and a seed-derived rng, never on pool
-    scheduling, so results are byte-identical for any worker count.
-    The best weighted-HPWL state seen by any replica in any round wins.
-    """
-    region = placement.region
-    ladders = [
-        anneal_temperatures(
-            n_batches, t_start * stagger**i, t_end * stagger**i
+        return Placement(
+            region=self.region,
+            positions={
+                name: (int(self.best_rows[i]), int(self.best_cols[i]))
+                for i, name in enumerate(self.cost.names)
+            },
         )
-        for i in range(replicas)
-    ]
-    rounds = max(1, min(exchange_rounds, n_batches))
-    seg = [(r * n_batches) // rounds for r in range(rounds + 1)]
-    positions = [dict(placement.positions) for _ in range(replicas)]
-    rng_states = []
-    for i in range(replicas):
-        gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((master, i)))
-        )
-        rng_states.append(gen.bit_generator.state)
-    totals = [0.0] * replicas
-    best_total = math.inf
-    best_positions = dict(placement.positions)
-    xrng = random.Random(master ^ 0x7E0F1EE7)
-    counters = {"evaluated": 0, "accepted": 0, "batches": 0}
-    exchange_attempts = exchange_accepted = 0
-    for r in range(rounds):
-        payloads = [
-            {
-                "design": design,
-                "region": region,
-                "positions": positions[i],
-                "net_weights": net_weights,
-                "temps": ladders[i][seg[r]:seg[r + 1]],
-                "rng_state": rng_states[i],
-                "batch_moves": batch_moves,
-                "blocked": blocked,
-            }
-            for i in range(replicas)
-        ]
-        outs = parallel_map(_replica_round, payloads, workers, processes=True)
-        for i, out in enumerate(outs):
-            positions[i] = out["positions"]
-            rng_states[i] = out["rng_state"]
-            totals[i] = out["total"]
-            for key in counters:
-                counters[key] += out["counters"][key]
-            if out["best_total"] < best_total:
-                best_total = out["best_total"]
-                best_positions = out["best_positions"]
-        if r + 1 < rounds:
-            for i in range(r % 2, replicas - 1, 2):
-                t_i = ladders[i][seg[r + 1] - 1]
-                t_j = ladders[i + 1][seg[r + 1] - 1]
-                d = (1.0 / t_i - 1.0 / t_j) * (totals[i] - totals[i + 1])
-                exchange_attempts += 1
-                if d >= 0 or xrng.random() < math.exp(d):
-                    positions[i], positions[i + 1] = (
-                        positions[i + 1], positions[i]
-                    )
-                    totals[i], totals[i + 1] = totals[i + 1], totals[i]
-                    exchange_accepted += 1
-    if stats is not None:
-        stats.update(counters)
-        stats.update(
-            replicas=replicas,
-            workers=resolve_workers(replicas, workers),
-            rounds=rounds,
-            exchange_attempts=exchange_attempts,
-            exchange_accepted=exchange_accepted,
-        )
-    return Placement(region=region, positions=best_positions)
 
 
 def anneal_placement(
@@ -1423,19 +1187,13 @@ def anneal_placement(
     steps: int | None = None,
     t_start: float | None = None,
     t_end: float = 0.05,
-    net_weights: dict[str, float] | None = None,
     *,
     batch_moves: int | None = None,
-    replicas: int = 1,
-    workers: int | None = 0,
-    exchange_rounds: int = 4,
-    temperature_stagger: float = DEFAULT_STAGGER,
-    t_start_accept: float | None = None,
     stats: dict | None = None,
     move_log: list | None = None,
     blocked: frozenset[tuple[int, int]] | None = None,
 ) -> Placement:
-    """Refine a legal placement by simulated annealing on (weighted) HPWL.
+    """Refine a legal placement by simulated annealing on HPWL.
 
     Moves relocate one gate inside its **dominance window** — the
     rectangle bounded below by its placed fan-ins' output cells and
@@ -1443,78 +1201,37 @@ def anneal_placement(
     legal by construction (the greedy seed is legal, and a window move
     cannot break an edge that was satisfied).  Cost deltas come from the
     cached :class:`IncrementalHpwl` bounding boxes — exact, so the
-    trajectory for a seed is identical to a full recompute; with
-    ``net_weights`` each net's half-perimeter is scaled by its weight
-    (the flow passes timing criticality here, turning the objective into
-    the weighted-HPWL trade-off of :func:`weighted_hpwl`).
+    trajectory for a seed is identical to a full recompute.
 
-    By default candidates are priced ``batch_moves`` at a time through
-    the vectorized :class:`BatchMoveEvaluator` — one temperature rung
-    per batch, Metropolis acceptance applied greedily in draw order
-    under a conflict screen (see :meth:`_AnnealContext.run_batches`).
-    ``batch_moves=0`` selects the legacy scalar loop: one
-    ``rng``-driven move per rung, the exact pre-batching trajectory,
-    kept as the debugging reference.
+    Candidates are priced ``batch_moves`` at a time through the
+    vectorized :class:`BatchMoveEvaluator` — one temperature rung per
+    batch, Metropolis acceptance applied greedily in draw order under a
+    conflict screen (see :meth:`_AnnealContext.run_batches`).
 
-    ``replicas=N > 1`` runs a **parallel-tempering fleet**: N copies at
-    staggered temperatures (ratio ``temperature_stagger`` between
-    neighbours), synchronized at ``exchange_rounds`` round barriers
-    where adjacent-temperature pairs may swap placements under the
-    Metropolis exchange criterion; ``workers`` sizes the process pool
-    the replicas fan out on (``None`` auto-selects up to the CPU count,
-    ``0``/``1`` run serially) and never affects results — fleets are
-    byte-identical for any worker count.  ``replicas=1, workers=0`` is
-    the plain single-replica path with no pool at all.
-
-    ``t_start`` defaults to ``0.5 * (rows + cols)``; passing
-    ``t_start_accept`` instead derives it from the landscape via
-    :func:`derive_t_start` (the timing-driven ladder re-derives one per
-    rung this way).  ``stats``, when given a dict, receives evaluated/
-    accepted move counts and fleet exchange counters; ``move_log``
-    (batched paths only) collects ``(gate, target, delta)`` per commit
-    for replay-style testing.
+    ``t_start`` defaults to ``0.5 * (rows + cols)``.  ``stats``, when
+    given a dict, receives evaluated/accepted move and batch counts;
+    ``move_log`` collects ``(gate, target, delta)`` per commit for
+    replay-style testing.
     """
     region = placement.region
     names = list(design.gates)
     if stats is not None:
-        stats.update(
-            evaluated=0, accepted=0, batches=0, replicas=replicas,
-            workers=1, rounds=0, exchange_attempts=0, exchange_accepted=0,
-        )
+        stats.update(evaluated=0, accepted=0, batches=0)
     if len(names) < 2:
         return placement
+    if batch_moves is not None and batch_moves < 1:
+        raise ValueError("batch_moves must be >= 1")
     default_budget = steps is None
     if steps is None:
         steps = default_anneal_steps(len(names))
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
     auto_batch = batch_moves is None
     if batch_moves is None:
         batch_moves = DEFAULT_BATCH_MOVES
-    if batch_moves == 0:
-        if replicas != 1:
-            raise ValueError(
-                "the scalar path (batch_moves=0) is single-replica; "
-                "use batch_moves > 0 with replicas > 1"
-            )
-        if t_start is None:
-            t_start = 0.5 * (region.n_rows + region.n_cols)
-        return _anneal_scalar(
-            design, placement, rng, steps, t_start, t_end, net_weights,
-            stats=stats, blocked=blocked,
-        )
-
-    # One draw seeds every numpy generator of the batched/fleet paths,
-    # so the whole anneal is a function of the caller's rng state.
+    # One draw seeds the numpy generator, so the whole anneal is a
+    # function of the caller's rng state.
     master = rng.getrandbits(64)
     if t_start is None:
-        if t_start_accept is not None:
-            t_start = derive_t_start(
-                design, placement, net_weights,
-                accept_target=t_start_accept, seed=master, blocked=blocked,
-            )
-        else:
-            t_start = 0.5 * (region.n_rows + region.n_cols)
+        t_start = 0.5 * (region.n_rows + region.n_cols)
     if default_budget:
         # Size-scaled budget boost (see MAX_BUDGET_BOOST), with the
         # batch shrunk so the cooling ladder keeps ~MIN_ANNEAL_RUNGS
@@ -1533,141 +1250,12 @@ def anneal_placement(
         )
     else:
         n_batches = max(1, -(-steps // batch_moves))
-    if replicas == 1:
-        ctx = _AnnealContext(design, placement, net_weights, blocked=blocked)
-        gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((master, 0)))
-        )
-        temps = anneal_temperatures(n_batches, t_start, t_end)
-        counters = ctx.run_batches(temps, gen, batch_moves, move_log=move_log)
-        if stats is not None:
-            stats.update(counters)
-            stats.update(workers=1, rounds=1)
-        return ctx.best_placement()
-    return _temper_fleet(
-        design, placement, net_weights,
-        master=master, n_batches=n_batches, batch_moves=batch_moves,
-        t_start=t_start, t_end=t_end, replicas=replicas, workers=workers,
-        exchange_rounds=exchange_rounds, stagger=temperature_stagger,
-        stats=stats, blocked=blocked,
+    ctx = _AnnealContext(design, placement, blocked=blocked)
+    gen = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence((master, 0)))
     )
-
-
-def _anneal_scalar(
-    design: MappedDesign,
-    placement: Placement,
-    rng: random.Random,
-    steps: int,
-    t_start: float,
-    t_end: float,
-    net_weights: dict[str, float] | None,
-    stats: dict | None = None,
-    blocked: frozenset[tuple[int, int]] | None = None,
-) -> Placement:
-    """The legacy one-move-per-rung annealer (``batch_moves=0``).
-
-    Bit-for-bit the pre-batching trajectory: same ``rng`` draw
-    sequence, same windows, same accept rule — kept as the exact serial
-    debugging reference the batched path is tested against.
-    """
-    region = placement.region
-    names = list(design.gates)
-    cost = IncrementalHpwl(design, placement, net_weights)
-    rows, cols, widths = cost.rows, cost.cols, cost.widths
-    occupied = np.full(
-        (region.row + region.n_rows, region.col + region.n_cols),
-        -1, dtype=np.int32,
-    )
-    if blocked:
-        nrr, ncc = occupied.shape
-        for br, bc in blocked:
-            if 0 <= br < nrr and 0 <= bc < ncc:
-                occupied[br, bc] = -2
-    for i in range(len(names)):
-        occupied[rows[i], cols[i]:cols[i] + widths[i]] = i
-
-    # Fan-in / fan-out gate indices bounding each gate's legal window.
-    fanins: list[list[int]] = [[] for _ in names]
-    fanouts: list[list[int]] = [[] for _ in names]
-    for g in design.gates.values():
-        gi = cost.index[g.name]
-        for net in dict.fromkeys(g.inputs):
-            src = design.source_of.get(net)
-            if src is not None and src != g.name:
-                si = cost.index[src]
-                fanins[gi].append(si)
-                fanouts[si].append(gi)
-
-    row_lo, col_lo = region.row, region.col
-    row_hi = region.row + region.n_rows - 1
-    col_hi = region.col + region.n_cols - 1
-
-    best_rows = rows.copy()
-    best_cols = cols.copy()
-    best_total = cost.total
-    evaluated = accepted = 0
-    exp = math.exp
-    for temp in anneal_temperatures(steps, t_start, t_end):
-        # Cooperative cancellation, amortised: one TLS read per 256
-        # moves keeps the scalar hot loop at its measured move rate.
-        if not evaluated & 0xFF:
-            checkpoint()
-        evaluated += 1
-        name = rng.choice(names)
-        gi = cost.index[name]
-        w = int(widths[gi])
-        if w == 2:
-            # Fixed-pin pair macros stay where the seed spread them:
-            # HPWL gains from compacting them are routinely wiped out
-            # by the routing congestion their clustering causes.
-            continue
-        lo_r, lo_c = row_lo, col_lo
-        hi_r, hi_c = row_hi, col_hi - (w - 1)
-        for f in fanins[gi]:
-            fr = int(rows[f])
-            fc = int(cols[f]) + int(widths[f]) - 1
-            if fr > lo_r:
-                lo_r = fr
-            if fc > lo_c:
-                lo_c = fc
-        for f in fanouts[gi]:
-            fr = int(rows[f])
-            fc = int(cols[f]) - (w - 1)
-            if fr < hi_r:
-                hi_r = fr
-            if fc < hi_c:
-                hi_c = fc
-        if lo_r > hi_r or lo_c > hi_c:
-            continue
-        tr = rng.randint(lo_r, hi_r)
-        tc = rng.randint(lo_c, hi_c)
-        if tr == rows[gi] and tc == cols[gi]:
-            continue
-        blocked = False
-        for k in range(w):
-            o = occupied[tr, tc + k]
-            if o != -1 and o != gi:
-                blocked = True
-                break
-        if blocked:
-            continue
-        d, updates = cost.propose(gi, tr, tc)
-        if d <= 0 or rng.random() < exp(-d / max(temp, 1e-9)):
-            occupied[rows[gi], cols[gi]:cols[gi] + w] = -1
-            occupied[tr, tc:tc + w] = gi
-            cost.commit(gi, tr, tc, d, updates)
-            accepted += 1
-            if cost.total < best_total:
-                best_total = cost.total
-                best_rows = rows.copy()
-                best_cols = cols.copy()
+    temps = anneal_temperatures(n_batches, t_start, t_end)
+    counters = ctx.run_batches(temps, gen, batch_moves, move_log=move_log)
     if stats is not None:
-        stats.update(
-            evaluated=evaluated, accepted=accepted, batches=evaluated,
-            workers=1, rounds=1,
-        )
-    positions = {
-        name: (int(best_rows[i]), int(best_cols[i]))
-        for i, name in enumerate(names)
-    }
-    return Placement(region=region, positions=positions)
+        stats.update(counters)
+    return ctx.best_placement()

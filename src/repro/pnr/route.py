@@ -38,7 +38,6 @@ and sink, and routed netlists can never acquire feedback.
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -383,10 +382,8 @@ class Router:
         placement: Placement,
         shape: tuple[int, int],
         region: Region,
-        rng: random.Random | None = None,
         max_passes: int = 6,
         array=None,
-        net_criticality: dict[str, float] | None = None,
         warm_routes: dict[str, NetRoute] | None = None,
         warm_moved: set[str] | None = None,
         defects=None,
@@ -399,18 +396,8 @@ class Router:
         #: into every :class:`RoutingState` this router builds, so the
         #: rip-up rebuilds keep the same blocked resources.
         self.defects = defects
-        #: Retained for API compatibility: rip-up retries used to
-        #: shuffle the remaining net order with this rng; they now keep
-        #: a stable order so journal replays stay consistent, and
-        #: routing is fully deterministic for a given placement.
-        self.rng = rng or random.Random(0)
         self.max_passes = max_passes
         self.array = array
-        #: Per-net timing criticality in [0, 1] (see `repro.pnr.timing`).
-        #: Critical nets route first, and their cost ladder flattens
-        #: toward uniform so A* returns the geometrically shortest
-        #: (lowest-detour) tree instead of the congestion-cheapest one.
-        self.net_criticality = net_criticality or {}
         self.state = RoutingState(
             design, placement, shape, region, array=array, defects=defects
         )
@@ -431,16 +418,6 @@ class Router:
         self.warm_routes = warm_routes or {}
         self.warm_moved = warm_moved if warm_moved is not None else set()
         self._use_warm = bool(self.warm_routes)
-        #: The most critical nets always re-search rather than replay —
-        #: capped to a handful so a design whose whole spine is critical
-        #: (a carry chain) still replays most of its routes.
-        by_crit = sorted(
-            (n for n, c in self.net_criticality.items() if c >= 0.9),
-            key=lambda n: (-self.net_criticality[n], n),
-        )
-        self._warm_research = set(
-            by_crit[: max(8, len(self.net_criticality) // 16)]
-        )
         # One preallocated search grid, reused by every A* call: slots
         # are valid only when their generation stamp matches the current
         # search, so "clearing" between nets is a counter increment —
@@ -479,13 +456,12 @@ class Router:
         otherwise the partial result is returned and failed nets are
         simply absent from the route map (for congestion studies).
 
-        Nets route shortest-span first; timing-critical nets jump the
-        queue so they claim direct paths before congestion builds.
+        Nets route shortest-span first.
 
-        When the router was built with ``warm_routes`` (the timing-driven
-        ladder re-entering after a warm-start re-anneal), any net whose
-        endpoint gates all kept their position replays its previous
-        commit journal — validating every claim against the current
+        When the router was built with ``warm_routes`` (an incremental
+        recompile or a die repair re-entering with a previous compile's
+        routes), any net whose endpoint gates all kept their position
+        replays its previous commit journal — validating every claim against the current
         occupancy — and only falls back to a fresh A* search when the
         replay collides with a moved net's resources.
 
@@ -496,13 +472,7 @@ class Router:
         one search plus journal replays, not a full re-route of the
         design.
         """
-        nets = sorted(
-            self.routable_nets(),
-            key=lambda n: (
-                -round(self.net_criticality.get(n, 0.0), 3),
-                self._net_span(n),
-            ),
-        )
+        nets = sorted(self.routable_nets(), key=self._net_span)
         failed: list[str] = []
         for attempt in range(self.max_passes):
             prev_failed = failed
@@ -583,16 +553,7 @@ class Router:
     # Warm replay of an earlier pass's routes
     # ------------------------------------------------------------------
     def _warm_eligible(self, net: str) -> bool:
-        """True when every endpoint gate of ``net`` is unmoved.
-
-        The most critical nets (capped to a handful — see
-        ``_warm_research``) always re-search: the flattened cost ladder
-        may find them a lower-detour tree than the one the previous rung
-        committed, and re-searching those nets is what the timing-driven
-        loop is *for*.
-        """
-        if net in self._warm_research:
-            return False
+        """True when every endpoint gate of ``net`` is unmoved."""
         src = self.design.source_of.get(net)
         if src is not None and src in self.warm_moved:
             return False
@@ -608,7 +569,7 @@ class Router:
         it is applied; the first collision rolls the whole net back and
         returns ``None`` so the caller searches from scratch.  A replay
         that completes reproduces the old route exactly (same wires,
-        same sink columns), which is what keeps the timing-driven ladder
+        same sink columns), which is what keeps warm-started routing
         deterministic.
         """
         st = self.state
@@ -760,12 +721,6 @@ class Router:
             base = self.SHARE_COST
         else:
             base = self.FRESH_COST
-        # Timing-critical nets care about hops (each hop is a buffer
-        # delay), not cell economy: interpolate the ladder toward the
-        # uniform REUSE_COST so the search minimises detour instead.
-        crit = self.net_criticality.get(net, 0.0)
-        if crit > 0.0:
-            base = base * (1.0 - crit) + self.REUSE_COST * crit
         return base + float(self.history[cell])
 
     def _search(

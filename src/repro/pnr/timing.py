@@ -22,9 +22,8 @@ times, worst slack, and an achievable cycle time for a compiled design.
 The cycle time is the worst capture arrival; the default ``target_period``
 is the design's **ideal-wire logic depth** (the same analysis with every
 wire delay zero), so the reported worst slack is the price of routing.
-Per-net criticality (longest path through the net / cycle time) feeds the
-timing-driven placer and router — see
-:func:`repro.pnr.flow.compile_to_fabric`'s ``timing_driven`` knob.
+Per-net criticality (longest path through the net / cycle time) is
+reported alongside, so a caller can see which nets set the cycle time.
 
 Quickstart — compile a 4-bit adder and read its timing:
 

@@ -119,7 +119,7 @@ class CompileOptions:
     """The result-affecting knobs of a compile, as one hashable value.
 
     Mirrors the :func:`repro.pnr.compile_to_fabric` keywords that
-    change *what gets built* (seed, anneal schedule, timing mode,
+    change *what gets built* (seed, anneal schedule, target period,
     sharding).  Pool-shape knobs (``workers``) are deliberately absent:
     by the repo's determinism contract they never change results, so
     they must not split the cache.
@@ -128,12 +128,9 @@ class CompileOptions:
     seed: int = 0
     anneal_steps: int | None = None
     max_attempts: int = 6
-    timing_driven: bool = False
-    timing_weight: float = 2.0
     target_period: int | None = None
     shards: int | None = None
     max_side: int | None = None
-    replicas: int = 1
     #: Wall-clock budget (seconds) for this job; ``None`` = unbounded.
     #: The compile loops check it cooperatively and raise
     #: :class:`repro.pnr.parallel.CompileTimeout` when it expires.
@@ -151,12 +148,9 @@ class CompileOptions:
             self.seed,
             self.anneal_steps,
             self.max_attempts,
-            self.timing_driven,
-            self.timing_weight,
             self.target_period,
             self.shards,
             self.max_side,
-            self.replicas,
         )
 
     def compile_kwargs(self) -> dict:
@@ -165,12 +159,9 @@ class CompileOptions:
             "seed": self.seed,
             "anneal_steps": self.anneal_steps,
             "max_attempts": self.max_attempts,
-            "timing_driven": self.timing_driven,
-            "timing_weight": self.timing_weight,
             "target_period": self.target_period,
             "shards": self.shards,
             "max_side": self.max_side,
-            "replicas": self.replicas,
             # Jobs parallelise across the service pool, never inside a
             # compile: serial inner compiles keep tracebacks flat and
             # make every artifact a pure function of (netlist, options).

@@ -252,12 +252,9 @@ def test_compile_options_never_collide():
         CompileOptions(seed=1),
         CompileOptions(anneal_steps=10),
         CompileOptions(max_attempts=3),
-        CompileOptions(timing_driven=True),
-        CompileOptions(timing_weight=3.0),
         CompileOptions(target_period=40),
         CompileOptions(shards=2),
         CompileOptions(max_side=12),
-        CompileOptions(replicas=2),
     ]
     keys = [base.key()] + [v.key() for v in variants]
     assert len(set(keys)) == len(keys)

@@ -293,7 +293,7 @@ def test_initial_placement_avoids_blocked_cells():
     assert not placed_cells(design, placement) & blocked
 
 
-@pytest.mark.parametrize("batch_moves", [None, 0], ids=["batched", "scalar"])
+@pytest.mark.parametrize("batch_moves", [None], ids=["batched"])
 def test_anneal_never_moves_onto_blocked_cells(batch_moves):
     design = map_netlist(ripple_carry_netlist(4))
     region = Region("t", 0, 0, 20, 20)

@@ -1,6 +1,6 @@
-"""Tests for the static timing analysis and timing-driven compilation.
+"""Tests for the static timing analysis of compiled designs.
 
-The timing model (docs/timing-model.md) promises three things that are
+The timing model (docs/timing-model.md) promises two things that are
 checked here mechanically:
 
 * **consistency** — the routed STA composes exactly the delays
@@ -9,10 +9,7 @@ checked here mechanically:
 * **soundness vs the event simulator** — measured settle time after an
   input change never exceeds the reported critical path, and a design
   whose critical path is fully exercised (an inverter chain) settles in
-  exactly the reported cycle time;
-* **monotone improvement** — `compile_to_fabric(..., timing_driven=True)`
-  never reports a worse worst slack / cycle time than the HPWL-only
-  placement on the same seed (regression-tested on rca8).
+  exactly the reported cycle time.
 """
 
 import numpy as np
@@ -25,14 +22,9 @@ from repro.netlist import BatchBackend, EventBackend, Netlist
 from repro.pnr import (
     HOP_DELAY,
     analyze_timing,
-    anneal_placement,
     compile_to_fabric,
-    hpwl,
-    initial_placement,
     map_netlist,
-    suggest_array,
     verify_equivalence,
-    weighted_hpwl,
 )
 from repro.sim.values import ONE, ZERO, X
 
@@ -143,6 +135,12 @@ class TestAnalyzeTiming:
         assert t.arrivals["q"] == pair.fabric_delay == 6
         assert t.cycle_time >= pair.fabric_delay + 3
 
+    def test_stats_mirror_report(self):
+        res = compile_to_fabric(ripple_carry_netlist(4), seed=0)
+        assert res.stats.cycle_time == res.timing.cycle_time
+        assert res.stats.worst_slack == res.timing.worst_slack
+        assert res.stats.logic_delay == res.timing.logic_delay
+
 
 # ----------------------------------------------------------------------
 # Agreement with the event simulator
@@ -193,62 +191,6 @@ class TestEventSimAgreement:
             sim.drive(wire, value)
             sim.run_to_quiescence(max_time=t0 + 100_000)
             assert sim.now - t0 == res.timing.cycle_time
-
-
-# ----------------------------------------------------------------------
-# Timing-driven compilation
-# ----------------------------------------------------------------------
-
-class TestTimingDriven:
-    def test_rca8_regression_never_worse(self):
-        """Acceptance: timing-driven never worsens worst slack on rca8."""
-        nl = ripple_carry_netlist(8)
-        base = compile_to_fabric(nl, seed=0)
-        timed = compile_to_fabric(nl, seed=0, timing_driven=True)
-        assert timed.timing.cycle_time <= base.timing.cycle_time
-        assert timed.timing.worst_slack >= base.timing.worst_slack
-        verify_equivalence(timed, n_vectors=256, event_vectors=2)
-
-    def test_multiplier_timing_driven_verifies(self):
-        nl = array_multiplier_netlist(2)
-        base = compile_to_fabric(nl, seed=0)
-        timed = compile_to_fabric(nl, seed=0, timing_driven=True)
-        assert timed.timing.cycle_time <= base.timing.cycle_time
-        verify_equivalence(timed, n_vectors=256, event_vectors=2)
-
-    def test_zero_weight_is_plain_hpwl(self):
-        """timing_weight=0 challengers can still only improve the pick."""
-        nl = ripple_carry_netlist(4)
-        base = compile_to_fabric(nl, seed=0)
-        timed = compile_to_fabric(nl, seed=0, timing_driven=True, timing_weight=0.0)
-        assert timed.timing.cycle_time <= base.timing.cycle_time
-
-    def test_weighted_hpwl_is_the_anneal_objective(self):
-        """The anneal with net_weights optimises exactly weighted_hpwl."""
-        import random
-
-        from repro.fabric.floorplan import Region
-
-        design = map_netlist(ripple_carry_netlist(4))
-        arr = suggest_array(design)
-        region = Region("r", 0, 0, arr.n_rows, arr.n_cols)
-        seed = initial_placement(design, region, random.Random(0))
-        # Unweighted, weighted_hpwl degenerates to plain HPWL.
-        assert weighted_hpwl(design, seed, {}) == hpwl(design, seed)
-        report = analyze_timing(design, seed)
-        weights = {n: 1.0 + 2.0 * c for n, c in report.criticality.items()}
-        refined = anneal_placement(
-            design, seed, random.Random(1), net_weights=weights
-        )
-        assert weighted_hpwl(design, refined, weights) <= weighted_hpwl(
-            design, seed, weights
-        )
-
-    def test_stats_mirror_report(self):
-        res = compile_to_fabric(ripple_carry_netlist(4), seed=0)
-        assert res.stats.cycle_time == res.timing.cycle_time
-        assert res.stats.worst_slack == res.timing.worst_slack
-        assert res.stats.logic_delay == res.timing.logic_delay
 
 
 # ----------------------------------------------------------------------

@@ -63,8 +63,8 @@ def test_variation_ablation(benchmark):
 
 def run_functional_yield_comparison(
     n_event_configs: int = 40, n_batch_configs: int = 4000
-):
-    """Functional yield on both backends; returns the two results.
+) -> dict:
+    """Functional yield on both backends: the ``microbench.mc_yield`` row.
 
     The batch run evaluates 100x the configurations of the event run —
     the throughput metric (configs/second) is what is compared.
@@ -81,32 +81,36 @@ def run_functional_yield_comparison(
         rng=np.random.default_rng(42), backend=BatchBackend(),
         label="batch bit-parallel",
     )
-    return event, batch
+    return {
+        "event_configs_per_s": round(event.configs_per_second),
+        "batch_configs_per_s": round(batch.configs_per_second),
+        "speedup": round(batch.configs_per_second / event.configs_per_second, 1),
+        "event_yield": event.functional_yield,
+        "batch_yield": batch.functional_yield,
+    }
 
 
-def test_functional_yield_batch_speedup(benchmark):
-    event, batch = benchmark(run_functional_yield_comparison)
-    speedup = batch.configs_per_second / event.configs_per_second
+def test_functional_yield_batch_speedup(record_row):
+    row = record_row("mc_yield", run_functional_yield_comparison())
     rep = ExperimentReport(
         "mc-backends", "Monte-Carlo functional yield: batch vs event backend"
     )
     rep.add(
         "event throughput", "baseline (1 config per simulation)",
-        f"{event.configs_per_second:,.0f} configs/s",
+        f"{row['event_configs_per_s']:,} configs/s",
     )
     rep.add(
         "batch throughput", ">= 10x the event backend",
-        f"{batch.configs_per_second:,.0f} configs/s ({speedup:,.0f}x)",
-        verdict="match" if speedup >= 10 else "deviation",
+        f"{row['batch_configs_per_s']:,} configs/s ({row['speedup']:,.0f}x)",
+        verdict="match" if row["speedup"] >= 10 else "deviation",
     )
     rep.add(
         "yield agreement", "both engines sample the same model",
-        f"event {event.functional_yield:.3f} vs batch {batch.functional_yield:.3f}",
+        f"event {row['event_yield']:.3f} vs batch {row['batch_yield']:.3f}",
         verdict="match"
-        if abs(event.functional_yield - batch.functional_yield) < 0.15
+        if abs(row["event_yield"] - row["batch_yield"]) < 0.15
         else "deviation",
     )
     print()
     print(rep.render())
     assert rep.all_match()
-    assert speedup >= 10.0

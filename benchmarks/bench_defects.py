@@ -1,14 +1,12 @@
 """Bench: defect-adaptive compilation (`repro.pnr.defects`).
 
-Records the ISSUE 8 economics: how die yield falls as the per-resource
+Records the economics of defect tolerance: how die yield falls as the per-resource
 defect density rises (warm repair, cold-compile escalation, or die
-scrapped), and how much faster adapting the golden rca8 compile to a
-defective die is than compiling that die cold (``repair_speedup``, the
-acceptance number, required >= 5x).  ``run_all.py`` imports
-:func:`run_defect_yield_curve` and :func:`run_repair_speed` and folds
-both into ``BENCH_results.json`` under ``microbench.defects``;
-``check_regressions.py`` prints the rows (recorded, not gated — repair
-rates depend on the sampled lot, wall times on the machine).
+scrapped).  The test records the curve under
+``microbench.defects.yield_curve`` (see ``conftest.py``);
+``check_regressions.py`` prints it (recorded, not gated — repair rates
+depend on the sampled lot).  Repair latency is perfbench ``warm``'s
+number, and ``tests/test_service_defects.py`` pins its 5x floor.
 """
 
 from __future__ import annotations
@@ -96,53 +94,9 @@ def run_defect_yield_curve(dies_per_density: int = DIES_PER_DENSITY) -> dict:
     return {"design": "rca8", "golden_compile_s": round(golden_s, 3), **curve}
 
 
-def run_repair_speed(n_dies: int = 12) -> dict:
-    """Warm per-die repair vs cold defect-aware compile (medians)."""
-    golden, golden_s = _golden()
-    shape = (golden.array.n_rows, golden.array.n_cols)
-    dies = [_die(shape, DENSITIES[0], seed) for seed in range(n_dies)]
-
-    def best_of(fn, n=2):
-        times = []
-        for _ in range(n):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return min(times)
-
-    repair_s, cold_s = [], []
-    for dm in dies:
-        try:
-            repair_s.append(
-                best_of(lambda: repair_for_die(golden, dm, seed=0))
-            )
-        except RepairFallback:
-            continue  # rates are low; a rare fallback die just drops out
-    for dm in dies[:6]:
-        cold_s.append(
-            best_of(
-                lambda: compile_to_fabric(
-                    ripple_carry_netlist(8), defect_map=dm,
-                    seed=0, workers=0,
-                ),
-                n=1,
-            )
-        )
-    med_repair = statistics.median(repair_s)
-    med_cold = statistics.median(cold_s)
-    return {
-        "design": "rca8",
-        "dies": len(repair_s),
-        "golden_compile_s": round(golden_s, 4),
-        "median_repair_ms": round(med_repair * 1e3, 1),
-        "median_cold_ms": round(med_cold * 1e3, 1),
-        "repair_speedup": round(med_cold / med_repair, 1),
-    }
-
-
-def test_yield_curve_accounts_for_every_die(capsys):
+def test_yield_curve_accounts_for_every_die(record_row):
     """Every sampled die is repaired, escalated, or scrapped — no gaps."""
-    r = run_defect_yield_curve()
+    r = record_row("defects.yield_curve", run_defect_yield_curve())
     rows = {k: v for k, v in r.items() if k.startswith("cell_fail_")}
     assert len(rows) == len(DENSITIES)
     for row in rows.values():
@@ -150,25 +104,3 @@ def test_yield_curve_accounts_for_every_die(capsys):
     # At the lightest density almost every die is warm-repairable.
     first = rows[f"cell_fail_{DENSITIES[0]}"]
     assert first["die_yield"] >= 0.9
-    with capsys.disabled():
-        print(f"\n  defect yield curve (rca8, {DIES_PER_DENSITY} dies/density):")
-        for key, row in rows.items():
-            print(
-                f"    {key:<18} yield {row['die_yield']:<5} "
-                f"({row['repaired']} repaired, {row['cold_ok']} cold, "
-                f"{row['scrapped']} scrapped; ~{row['mean_defects_per_die']} "
-                f"defects/die)"
-            )
-
-
-def test_repair_meets_5x(capsys):
-    """ISSUE 8 acceptance: warm repair >= 5x over a cold die compile."""
-    r = run_repair_speed()
-    assert r["repair_speedup"] >= 5
-    with capsys.disabled():
-        print(
-            f"\n  die repair rca8: cold {r['median_cold_ms']:.1f} ms -> "
-            f"{r['median_repair_ms']:.1f} ms ({r['repair_speedup']}x, "
-            f"{r['dies']} dies from one {r['golden_compile_s']}s golden "
-            f"compile)"
-        )

@@ -10,9 +10,9 @@ multiplier, accumulator step), so ``BENCH_results.json`` tracks compile
 time, wirelength and cycle time against array side.  A second table
 compiles the deep designs (mul4, rca16) across multiple chiplet arrays
 with the sharded flow, recording shard count, channel cut size and the
-composed system cycle time.  `run_all.py` imports
-:func:`run_pnr_quality` and :func:`run_pnr_sharded` and folds the
-numbers into ``BENCH_results.json``.
+composed system cycle time.  The tests record both tables under
+``microbench.pnr.quality`` and ``microbench.pnr.sharded`` (see
+``conftest.py``), and ``check_regressions.py`` gates the quality rows.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from repro.datapath.adder import ripple_carry_netlist
 from repro.datapath.multiplier import array_multiplier_netlist
 from repro.netlist import Netlist
 from repro.pnr import compile_sharded, compile_to_fabric, verify_equivalence
+
+#: Random vectors each compiled design is checked against its source on.
+VERIFY_VECTORS = 256
 
 
 def _suite() -> dict[str, Netlist]:
@@ -44,7 +47,7 @@ def _suite() -> dict[str, Netlist]:
     }
 
 
-def run_pnr_quality(verify_vectors: int = 256) -> dict[str, dict]:
+def run_pnr_quality() -> dict[str, dict]:
     """Compile the suite; return per-design quality + timing metrics."""
     results: dict[str, dict] = {}
     for name, netlist in _suite().items():
@@ -72,9 +75,9 @@ def run_pnr_quality(verify_vectors: int = 256) -> dict[str, dict]:
         }
         if not res.design.has_stateful_gates():
             t0 = time.perf_counter()
-            verify_equivalence(res, n_vectors=verify_vectors, event_vectors=4)
+            verify_equivalence(res, n_vectors=VERIFY_VECTORS, event_vectors=4)
             entry["verify_s"] = round(time.perf_counter() - t0, 4)
-            entry["verified_vectors"] = verify_vectors
+            entry["verified_vectors"] = VERIFY_VECTORS
         results[name] = entry
     return results
 
@@ -114,7 +117,7 @@ def run_pnr_sharded() -> dict[str, dict]:
         compile_sharded(netlist, max_side=max_side, seed=0, workers=None)
         compile_parallel_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        res.verify(n_vectors=256, event_vectors=2)
+        res.verify(n_vectors=VERIFY_VECTORS, event_vectors=2)
         verify_s = time.perf_counter() - t0
         s = res.stats
         results[name] = {
@@ -132,7 +135,7 @@ def run_pnr_sharded() -> dict[str, dict]:
             "compile_s": round(compile_s, 4),
             "compile_parallel_s": round(compile_parallel_s, 4),
             "verify_s": round(verify_s, 4),
-            "verified_vectors": 256,
+            "verified_vectors": VERIFY_VECTORS,
         }
     return results
 
@@ -141,9 +144,9 @@ def run_pnr_sharded() -> dict[str, dict]:
 # pytest entry points (run_all.py executes this file under pytest)
 # ----------------------------------------------------------------------
 
-def test_pnr_quality_suite():
+def test_pnr_quality_suite(record_row):
     """Every suite design compiles fully routed; overheads stay sane."""
-    results = run_pnr_quality(verify_vectors=64)
+    results = record_row("pnr.quality", run_pnr_quality())
     assert set(results) == set(_suite())
     for name, entry in results.items():
         assert entry["routed_net_fraction"] == 1.0, name
@@ -168,17 +171,10 @@ def test_pnr_scales_with_adder_width(capsys):
             print(f"  {r[0]:4d} {r[1]:5d} {r[2]:5d} {r[3]:10d} {r[4]:5d}")
 
 
-def test_sharded_designs_split_and_verify(capsys):
+def test_sharded_designs_split_and_verify(record_row):
     """Acceptance: deep designs land on >= 2 chiplets and stay equivalent."""
-    results = run_pnr_sharded()
+    results = record_row("pnr.sharded", run_pnr_sharded())
     for name, entry in results.items():
         assert entry["shards"] >= 2, name
         assert entry["cut_nets"] > 0, name
         assert entry["cycle_time"] >= entry["logic_delay"] > 0, name
-    with capsys.disabled():
-        print("\n  design      shards cut   cycle  compile_s")
-        for name, e in results.items():
-            print(
-                f"  {name:<11} {e['shards']:5d} {e['cut_size']:4d} "
-                f"{e['cycle_time']:6d} {e['compile_s']:9.2f}"
-            )

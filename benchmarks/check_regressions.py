@@ -12,9 +12,10 @@ are machine-dependent and deliberately not gated:
 * metrics: ``cycle_time`` and ``wirelength`` (higher = worse), each
   allowed to drift up by at most ``TOLERANCE`` (10%).
 
-``compile_s`` is *recorded* for every pinned design (printed in the
-drift table so the perf trajectory is visible in the CI artifact and
-log) but never gated — wall time is machine-dependent.
+One drift table prints every kept row of the trajectory (``REPORT``):
+the gated metrics of the pinned designs, and next to them numbers that
+are *recorded* but never gated, such as ``compile_s`` and the engine
+throughputs — wall time is machine-dependent.
 
 A design or metric missing from the fresh results is itself a failure
 (the bench silently dropping a row must not pass the gate); a design
@@ -50,77 +51,67 @@ METRICS: tuple[str, ...] = ("cycle_time", "wirelength")
 #: Metrics shown in the drift table but never gated (machine-dependent).
 REPORT_ONLY_METRICS: tuple[str, ...] = ("compile_s",)
 
-#: Throughput rows from ``microbench.pnr_speed`` shown (never gated) so
-#: the annealer perf trajectory is visible next to the quality gate:
-#: evaluated moves/s per design.  Machine-dependent.
-SPEED_REPORT_METRICS: tuple[str, ...] = ("anneal_moves_per_s",)
-
-
-def speed_table(results: dict) -> dict:
-    """The ``microbench.pnr_speed`` rows of one trajectory (may be {})."""
-    return results.get("microbench", {}).get("pnr_speed", {}) or {}
-
-
-#: Compile-service rows from ``microbench.service`` shown (never gated):
-#: throughput and latency are machine-dependent, and the hit rate is a
-#: property of the bench's job mix, not of the code under test.
-SERVICE_REPORT_METRICS: dict[str, tuple[str, ...]] = {
-    "throughput": ("speedup", "jobs_per_s", "cache_hit_rate"),
-    "incremental": ("incremental_speedup", "cold_s", "incremental_s"),
-    "store": ("disk_hit_speedup", "cold_ms", "disk_hit_ms", "memory_hit_ms"),
-    "session": ("chain_speedup", "cold_chain_s", "session_chain_s"),
-}
-
-
-def service_table(results: dict) -> dict:
-    """The ``microbench.service`` rows of one trajectory (may be {})."""
-    return results.get("microbench", {}).get("service", {}) or {}
-
-
-#: Defect-adaptive rows from ``microbench.defects`` shown (never
-#: gated): repair latency and speedup are machine-dependent, and the
-#: die yield is a property of the sampled lot, not of the code under
-#: test — ``tests/test_service_defects.py`` pins the 5x floor.
-DEFECTS_REPORT_METRICS: dict[str, tuple[str, ...]] = {
-    "repair": ("repair_speedup", "median_repair_ms", "median_cold_ms"),
-}
-
-
-def defects_table(results: dict) -> dict:
-    """The ``microbench.defects`` rows of one trajectory (may be {})."""
-    return results.get("microbench", {}).get("defects", {}) or {}
-
-
-#: Resilience rows from ``microbench.resilience`` shown (never gated):
-#: recovery overhead and serve latencies are machine-dependent, and the
-#: degraded rate is a property of the bench's pressure mix —
-#: ``tests/test_resilience.py`` pins the functional contract.
-RESILIENCE_REPORT_METRICS: dict[str, tuple[str, ...]] = {
-    "crash": ("recovery_overhead", "clean_s", "crashed_s"),
-    "degraded": ("degraded_rate", "degraded_ms", "repair_ms"),
-    "retry": ("retried_call_ms", "fault_point_no_plan_ns"),
-}
-
-
-def resilience_table(results: dict) -> dict:
-    """The ``microbench.resilience`` rows of one trajectory (may be {})."""
-    return results.get("microbench", {}).get("resilience", {}) or {}
-
-
-def defect_yield_rows(results: dict) -> dict:
-    """The yield-vs-density rows, keyed by ``cell_fail_*`` (may be {})."""
-    curve = defects_table(results).get("yield_curve", {}) or {}
-    return {k: v for k, v in curve.items() if k.startswith("cell_fail_")}
-
 #: Allowed relative drift upward (worse) before the gate fails.
 TOLERANCE: float = 0.10
 
+#: The drift table: every kept ``microbench`` path of a trajectory,
+#: mapped to (gated metrics, recorded metrics).  :func:`check` gates the
+#: first group on the ``PINNED_DESIGNS`` rows only; every other number
+#: is printed so the trajectory shows in the CI log, and never gated —
+#: wall times and throughputs depend on the machine, yield rows on the
+#: sampled lot.  ``run_all.py`` writes exactly these paths.
+REPORT: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "event_sim": ((), ("events_per_s",)),
+    "batch_sim": ((), ("vectors_per_s",)),
+    "mc_yield": ((), ("batch_configs_per_s", "speedup")),
+    "pnr.quality": (METRICS, REPORT_ONLY_METRICS),
+    "pnr.sharded": ((), ("cycle_time", "wirelength", "compile_s")),
+    "pnr_speed": ((), (
+        "seed_s", "anneal_s", "route_s", "sta_s", "emit_s",
+        "anneal_moves_per_s", "routed_nets_per_s",
+    )),
+    "defects.yield_curve": ((), ("die_yield", "median_repair_ms")),
+}
 
-def quality_table(results: dict) -> dict:
-    """The per-design PnR quality rows of one trajectory (may be {})."""
-    return (
-        results.get("microbench", {}).get("pnr", {}).get("quality", {}) or {}
-    )
+
+def rows(results: dict, path: str) -> dict[str, dict]:
+    """The rows at ``microbench.<path>`` of one trajectory (may be {}).
+
+    A table maps each row name to its row; a single row (``event_sim``)
+    comes back under the name ``""``.
+    """
+    node = results.get("microbench", {})
+    for part in path.split("."):
+        node = node.get(part) or {}
+    table = {k: v for k, v in node.items() if isinstance(v, dict)}
+    return table or ({"": node} if node else {})
+
+
+def drift_table(baseline: dict, fresh: dict) -> list[str]:
+    """One line per :data:`REPORT` metric that either trajectory holds."""
+    lines = []
+    for path, (gated, recorded) in REPORT.items():
+        base_rows, fresh_rows = rows(baseline, path), rows(fresh, path)
+        for name in dict.fromkeys([*base_rows, *fresh_rows]):
+            label = f"{path}.{name}" if name else path
+            for metric in gated + recorded:
+                b = base_rows.get(name, {}).get(metric)
+                f = fresh_rows.get(name, {}).get(metric)
+                if b is None and f is None:
+                    continue
+                drift = (
+                    f"{(f - b) / b:+.1%}" if b not in (None, 0) and f is not None
+                    else "n/a"
+                )
+                note = (
+                    "" if metric in gated and name in PINNED_DESIGNS
+                    else "  (recorded, not gated)"
+                )
+                lines.append(
+                    f"  {label:<36} {metric:<18} {b!s:>9} -> {f!s:>9}  "
+                    f"{drift}{note}"
+                )
+    return lines
 
 
 def check(
@@ -131,8 +122,8 @@ def check(
     tolerance: float = TOLERANCE,
 ) -> list[str]:
     """Violation messages for ``fresh`` against ``baseline`` (empty = pass)."""
-    base_q = quality_table(baseline)
-    fresh_q = quality_table(fresh)
+    base_q = rows(baseline, "pnr.quality")
+    fresh_q = rows(fresh, "pnr.quality")
     violations: list[str] = []
     if not fresh_q:
         return ["fresh results carry no microbench.pnr.quality table"]
@@ -189,96 +180,9 @@ def main(argv: list[str] | None = None) -> int:
     baseline = json.loads(args.baseline.read_text())
     fresh = json.loads(args.fresh.read_text())
     violations = check(baseline, fresh, tolerance=args.tolerance)
-    base_q, fresh_q = quality_table(baseline), quality_table(fresh)
     print(f"benchmark gate: {len(PINNED_DESIGNS)} pinned designs, "
           f"tolerance {args.tolerance:.0%}")
-    for design in PINNED_DESIGNS:
-        for metric in METRICS + REPORT_ONLY_METRICS:
-            b = base_q.get(design, {}).get(metric)
-            f = fresh_q.get(design, {}).get(metric)
-            drift = (
-                f"{(f - b) / b:+.1%}" if b not in (None, 0) and f is not None
-                else "n/a"
-            )
-            gated = "" if metric in METRICS else "  (recorded, not gated)"
-            print(
-                f"  {design:<20} {metric:<12} {b!s:>8} -> {f!s:>8}  "
-                f"{drift}{gated}"
-            )
-    base_s, fresh_s = speed_table(baseline), speed_table(fresh)
-    for row in sorted(set(base_s) | set(fresh_s)):
-        for metric in SPEED_REPORT_METRICS:
-            b = base_s.get(row, {}).get(metric)
-            f = fresh_s.get(row, {}).get(metric)
-            if b is None and f is None:
-                continue
-            drift = (
-                f"{(f - b) / b:+.1%}" if b not in (None, 0) and f is not None
-                else "n/a"
-            )
-            print(
-                f"  {row:<20} {metric:<20} {b!s:>9} -> {f!s:>9}  "
-                f"{drift}  (recorded, not gated)"
-            )
-    base_svc, fresh_svc = service_table(baseline), service_table(fresh)
-    for row, svc_metrics in SERVICE_REPORT_METRICS.items():
-        for metric in svc_metrics:
-            b = base_svc.get(row, {}).get(metric)
-            f = fresh_svc.get(row, {}).get(metric)
-            if b is None and f is None:
-                continue
-            drift = (
-                f"{(f - b) / b:+.1%}" if b not in (None, 0) and f is not None
-                else "n/a"
-            )
-            print(
-                f"  service.{row:<12} {metric:<20} {b!s:>9} -> {f!s:>9}  "
-                f"{drift}  (recorded, not gated)"
-            )
-    base_r, fresh_r = resilience_table(baseline), resilience_table(fresh)
-    for row, r_metrics in RESILIENCE_REPORT_METRICS.items():
-        for metric in r_metrics:
-            b = base_r.get(row, {}).get(metric)
-            f = fresh_r.get(row, {}).get(metric)
-            if b is None and f is None:
-                continue
-            drift = (
-                f"{(f - b) / b:+.1%}" if b not in (None, 0) and f is not None
-                else "n/a"
-            )
-            print(
-                f"  resilience.{row:<9} {metric:<20} {b!s:>9} -> {f!s:>9}  "
-                f"{drift}  (recorded, not gated)"
-            )
-    base_d, fresh_d = defects_table(baseline), defects_table(fresh)
-    for row, d_metrics in DEFECTS_REPORT_METRICS.items():
-        for metric in d_metrics:
-            b = base_d.get(row, {}).get(metric)
-            f = fresh_d.get(row, {}).get(metric)
-            if b is None and f is None:
-                continue
-            drift = (
-                f"{(f - b) / b:+.1%}" if b not in (None, 0) and f is not None
-                else "n/a"
-            )
-            print(
-                f"  defects.{row:<12} {metric:<20} {b!s:>9} -> {f!s:>9}  "
-                f"{drift}  (recorded, not gated)"
-            )
-    base_y, fresh_y = defect_yield_rows(baseline), defect_yield_rows(fresh)
-    for row in sorted(set(base_y) | set(fresh_y)):
-        b = base_y.get(row, {}).get("die_yield")
-        f = fresh_y.get(row, {}).get("die_yield")
-        if b is None and f is None:
-            continue
-        drift = (
-            f"{(f - b) / b:+.1%}" if b not in (None, 0) and f is not None
-            else "n/a"
-        )
-        print(
-            f"  defects.{row:<12} {'die_yield':<20} {b!s:>9} -> {f!s:>9}  "
-            f"{drift}  (recorded, not gated)"
-        )
+    print("\n".join(drift_table(baseline, fresh)))
     if violations:
         print("REGRESSIONS:")
         for v in violations:

@@ -12,13 +12,11 @@ by:
   A* router (:class:`repro.pnr.route.Router`).
 
 ``run_all.py`` imports :func:`run_pnr_speed` and folds the table into
-``BENCH_results.json`` under ``microbench.pnr_speed``; the CI
-example-smoke job prints the table with ``--from-results`` so the perf
-trajectory is visible in every run's log.  Run directly for a live
-profile::
+``BENCH_results.json`` under ``microbench.pnr_speed``, and
+``check_regressions.py`` prints its drift in every CI log.  Run directly
+for a live profile, printed as drift against the committed table::
 
-    PYTHONPATH=src python benchmarks/profile_pnr.py
-    python benchmarks/profile_pnr.py --from-results benchmarks/BENCH_results.json
+    python benchmarks/profile_pnr.py
 
 See ``docs/performance.md`` for what each stage does and why the hot
 paths are shaped the way they are.
@@ -26,7 +24,6 @@ paths are shaped the way they are.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import random
@@ -128,45 +125,14 @@ def run_pnr_speed() -> dict[str, dict]:
     return {name: profile_design(nl) for name, nl in designs.items()}
 
 
-def format_table(speed: dict[str, dict]) -> str:
-    """The pnr_speed table as fixed-width text (CI logs, CLI)."""
-    lines = [
-        "PnR speed microbench (per-stage seconds, engine throughput):",
-        f"  {'design':<20} {'gates':>5} {'seed':>7} {'anneal':>7} "
-        f"{'route':>7} {'sta':>7} {'emit':>7} {'moves/s':>9} {'nets/s':>7}",
-    ]
-    for name, row in speed.items():
-        if "gates" not in row:
-            continue  # a row this table does not know how to format
-        lines.append(
-            f"  {name:<20} {row['gates']:>5} {row['seed_s']:>7.3f} "
-            f"{row['anneal_s']:>7.3f} {row['route_s']:>7.3f} "
-            f"{row['sta_s']:>7.3f} {row['emit_s']:>7.3f} "
-            f"{row['anneal_moves_per_s'] or 0:>9,} "
-            f"{row['routed_nets_per_s'] or 0:>7,}"
-        )
-    return "\n".join(lines)
+def main() -> int:
+    here = Path(__file__).resolve().parent
+    sys.path.insert(0, str(here.parent / "src"))
+    from check_regressions import drift_table
 
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--from-results", type=Path, default=None,
-        help="print the pnr_speed table recorded in a BENCH_results.json "
-        "instead of re-profiling",
-    )
-    args = parser.parse_args(argv)
-    if args.from_results is not None:
-        results = json.loads(args.from_results.read_text())
-        speed = results.get("microbench", {}).get("pnr_speed")
-        if not speed:
-            print(f"{args.from_results} has no microbench.pnr_speed table")
-            return 1
-        print(format_table(speed))
-        return 0
-    repo_src = Path(__file__).resolve().parent.parent / "src"
-    sys.path.insert(0, str(repo_src))
-    print(format_table(run_pnr_speed()))
+    committed = json.loads((here / "BENCH_results.json").read_text())
+    baseline = {"microbench": {"pnr_speed": committed["microbench"]["pnr_speed"]}}
+    print("\n".join(drift_table(baseline, {"microbench": {"pnr_speed": run_pnr_speed()}})))
     return 0
 
 

@@ -1,64 +1,72 @@
 #!/usr/bin/env python
-"""Run every bench, time it, and record the perf trajectory.
+"""Run every bench once, and record the perf and quality trajectory.
 
 Usage::
 
-    python benchmarks/run_all.py [--quick]
+    python benchmarks/run_all.py
 
-Each ``bench_*.py`` in this directory is executed as its own pytest run
-(they are not collected by the default test sweep) and timed.  On top of
-the per-bench wall times, three simulator-throughput microbenches are
-measured directly:
+Each ``bench_*.py`` in this directory runs as its own pytest session in
+this process (they are not collected by the default test sweep) and is
+timed.  A bench test hands each row it computes to the ``record_row``
+fixture (``conftest.py``) and asserts on that same object, so every row
+is computed once.  Three rows no bench asserts on are measured here:
 
-* ``event_events_per_s``   — raw event-scheduler throughput (a saturated
+* ``event_sim``  — raw event-scheduler throughput (a saturated
   gate-level micropipeline);
-* ``batch_vectors_per_s``  — bit-parallel vectors/second through the
-  8-bit fabric ripple-carry adder on the batch backend;
-* ``mc_configs_per_s``     — Monte-Carlo functional-yield configurations
-  per second on both backends, plus their ratio (the build-once /
-  evaluate-many speedup this architecture exists for).
+* ``batch_sim``  — bit-parallel vectors/second through the 8-bit
+  fabric ripple-carry adder on the batch backend;
+* ``pnr_speed``  — per-stage PnR seconds and engine throughput
+  (``profile_pnr.py``).
 
-Results go to ``BENCH_results.json`` next to this script, keyed by bench
-name, so successive PRs can diff the trajectory.
+The rows go to ``BENCH_results.json`` next to this script, under
+``microbench.<path>`` for each path of ``check_regressions.REPORT``, and
+the drift table against the file they replace is printed.  A failing
+bench makes the exit code non-zero.  Service timing is perfbench's job
+(``perfbench/run.py``), not this harness's.
 """
 
 from __future__ import annotations
 
 import json
-import subprocess
 import sys
 import time
 from pathlib import Path
 
+import pytest
+
 HERE = Path(__file__).resolve().parent
-REPO = HERE.parent
-SRC = REPO / "src"
+SRC = HERE.parent / "src"
 
 
-def run_benches(quick: bool) -> dict[str, dict]:
-    """Execute each bench file under pytest; record wall time and status."""
-    results: dict[str, dict] = {}
-    benches = sorted(HERE.glob("bench_*.py"))
-    if quick:
-        benches = benches[:3]
-    for bench in benches:
-        t0 = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", str(bench)],
-            cwd=REPO,
-            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin:/usr/local/bin"},
-            capture_output=True,
-            text=True,
+class RowSink:
+    """pytest plugin: the rows bench tests record, and each run's tally."""
+
+    def __init__(self) -> None:
+        # ``record_row`` finds the sink by the name pluggy registers it
+        # under, which is the plugin's ``__name__``.
+        self.__name__ = "bench_rows"
+        self.rows: dict[str, dict] = {}
+        self.summary = ""
+
+    def pytest_sessionfinish(self, session) -> None:
+        failed = session.testsfailed
+        self.summary = f"{session.testscollected - failed} passed" + (
+            f", {failed} failed" if failed else ""
         )
+
+
+def run_benches(sink: RowSink) -> dict[str, dict]:
+    """Run each bench file under pytest; record wall time and status."""
+    results: dict[str, dict] = {}
+    for bench in sorted(HERE.glob("bench_*.py")):
+        t0 = time.perf_counter()
+        code = pytest.main(["-q", str(bench)], plugins=[sink])
         wall = time.perf_counter() - t0
-        tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
         results[bench.name] = {
             "wall_s": round(wall, 3),
-            "passed": proc.returncode == 0,
-            "summary": tail,
+            "passed": code == pytest.ExitCode.OK,
+            "summary": sink.summary,
         }
-        status = "ok" if proc.returncode == 0 else "FAIL"
-        print(f"  {bench.name:<36} {wall:7.2f}s  {status}")
     return results
 
 
@@ -111,171 +119,40 @@ def microbench_batch_throughput() -> dict:
     }
 
 
-def microbench_mc_yield() -> dict:
-    """Monte-Carlo functional-yield throughput, event vs batch."""
-    sys.path.insert(0, str(HERE))
-    from bench_ablation_variation import run_functional_yield_comparison
-
-    event, batch = run_functional_yield_comparison()
-    ratio = batch.configs_per_second / event.configs_per_second
-    return {
-        "event_configs_per_s": round(event.configs_per_second),
-        "batch_configs_per_s": round(batch.configs_per_second),
-        "speedup": round(ratio, 1),
-        "event_yield": event.functional_yield,
-        "batch_yield": batch.functional_yield,
-    }
-
-
-def microbench_pnr() -> dict:
-    """PnR quality and timing: wirelength, routing burn, cycle time.
-
-    ``quality`` is per-design (includes the scale designs: multiplier,
-    accumulator step); ``sharded`` compiles mul4, rca16 and rca32 across multiple chiplet
-    arrays (shard count, channel cut, composed system cycle time).
-    """
-    sys.path.insert(0, str(HERE))
-    from bench_pnr import run_pnr_quality, run_pnr_sharded
-
-    return {
-        "quality": run_pnr_quality(),
-        "sharded": run_pnr_sharded(),
-    }
-
-
-def microbench_pnr_speed() -> dict:
-    """Engine throughput: anneal moves/s, routed nets/s, stage seconds."""
-    sys.path.insert(0, str(HERE))
+def main() -> int:
+    sys.path.insert(0, str(SRC))
+    from check_regressions import REPORT, drift_table
     from profile_pnr import run_pnr_speed
 
-    return run_pnr_speed()
-
-
-def microbench_service() -> dict:
-    """Service throughput, incremental latency, store tiers, sessions."""
-    sys.path.insert(0, str(HERE))
-    from bench_service import (
-        run_service_incremental,
-        run_service_session,
-        run_service_store,
-        run_service_throughput,
+    # The microbenches run first, on a heap the benches have not grown.
+    sink = RowSink()
+    sink.rows.update(
+        event_sim=microbench_event_throughput(),
+        batch_sim=microbench_batch_throughput(),
+        pnr_speed=run_pnr_speed(),
     )
+    benches = run_benches(sink)
+    micro: dict[str, dict] = {}
+    for path in REPORT:
+        if path in sink.rows:  # else the gate reports the row missing
+            *parents, leaf = path.split(".")
+            node = micro
+            for part in parents:
+                node = node.setdefault(part, {})
+            node[leaf] = sink.rows[path]
+    results = {"benches": benches, "microbench": micro}
 
-    return {
-        "throughput": run_service_throughput(),
-        "incremental": run_service_incremental(),
-        "store": run_service_store(),
-        "session": run_service_session(),
-    }
-
-
-def microbench_defects() -> dict:
-    """Die yield vs defect density, and warm-repair vs cold latency."""
-    sys.path.insert(0, str(HERE))
-    from bench_defects import run_defect_yield_curve, run_repair_speed
-
-    return {
-        "yield_curve": run_defect_yield_curve(),
-        "repair": run_repair_speed(),
-    }
-
-
-def microbench_resilience() -> dict:
-    """Crash recovery, degraded serving and retry/fault-point cost."""
-    sys.path.insert(0, str(HERE))
-    from bench_resilience import (
-        run_crash_recovery,
-        run_degraded_serve,
-        run_retry_overhead,
-    )
-
-    return {
-        "crash": run_crash_recovery(),
-        "degraded": run_degraded_serve(),
-        "retry": run_retry_overhead(),
-    }
-
-
-def main() -> int:
-    quick = "--quick" in sys.argv[1:]
-    sys.path.insert(0, str(SRC))
-    print("running benches:")
-    results: dict[str, object] = {"benches": run_benches(quick)}
-    print("microbenches:")
-    micro = {
-        "event_sim": microbench_event_throughput(),
-        "batch_sim": microbench_batch_throughput(),
-        "mc_yield": microbench_mc_yield(),
-        "pnr": microbench_pnr(),
-        "pnr_speed": microbench_pnr_speed(),
-        "service": microbench_service(),
-        "defects": microbench_defects(),
-        "resilience": microbench_resilience(),
-    }
-    results["microbench"] = micro
-    print(f"  event scheduler : {micro['event_sim']['events_per_s']:>12,} events/s")
-    print(f"  batch adder     : {micro['batch_sim']['vectors_per_s']:>12,} vectors/s")
-    print(
-        f"  MC yield        : {micro['mc_yield']['batch_configs_per_s']:>12,} configs/s "
-        f"({micro['mc_yield']['speedup']}x over event)"
-    )
-    fig10 = micro["pnr"]["quality"]["fig10_adder_slice"]
-    print(
-        f"  PnR Fig.10      : {fig10['cells_logic']} logic + "
-        f"{fig10['cells_route']} route cells, wirelength "
-        f"{fig10['wirelength']}, cycle {fig10['cycle_time']}, "
-        f"compiled in {fig10['compile_s']}s"
-    )
-    mul4 = micro["pnr"]["sharded"]["mul4_array"]
-    print(
-        f"  PnR mul4 sharded: {mul4['shards']} chiplets (side <= "
-        f"{mul4['max_side']}), {mul4['cut_nets']} cut nets, cycle "
-        f"{mul4['cycle_time']}, compiled in {mul4['compile_s']}s"
-    )
-    speed8 = micro["pnr_speed"]["rca8"]
-    print(
-        f"  PnR engine      : {speed8['anneal_moves_per_s']:>12,} anneal moves/s, "
-        f"{speed8['routed_nets_per_s']:,} routed nets/s (rca8)"
-    )
-    svc = micro["service"]
-    print(
-        f"  compile service : {svc['throughput']['jobs']} jobs -> "
-        f"{svc['throughput']['distinct']} compiles "
-        f"({svc['throughput']['speedup']}x over serial cold), incremental "
-        f"rca8 edit {svc['incremental']['incremental_speedup']}x faster"
-    )
-    print(
-        f"  artifact store  : disk hit {svc['store']['disk_hit_ms']} ms "
-        f"({svc['store']['disk_hit_speedup']}x over cold), memory hit "
-        f"{svc['store']['memory_hit_ms']} ms; 5-edit session chain "
-        f"{svc['session']['chain_speedup']}x over cold"
-    )
-    from bench_defects import DENSITIES
-
-    rep = micro["defects"]["repair"]
-    lightest = micro["defects"]["yield_curve"][f"cell_fail_{DENSITIES[0]}"]
-    print(
-        f"  die repair      : {rep['dies']} dies from one golden rca8 "
-        f"compile, {rep['median_repair_ms']} ms median repair "
-        f"({rep['repair_speedup']}x over cold), die yield "
-        f"{lightest['die_yield']} at the lightest density"
-    )
-    res = micro["resilience"]
-    print(
-        f"  resilience      : worker-crash recovery "
-        f"{res['crash']['recovery_overhead']}x of clean, degraded serve "
-        f"{res['degraded']['degraded_ms']} ms vs repair "
-        f"{res['degraded']['repair_ms']} ms, fault point (no plan) "
-        f"{res['retry']['fault_point_no_plan_ns']} ns"
-    )
     out = HERE / "BENCH_results.json"
+    previous = json.loads(out.read_text()) if out.exists() else {}
+    print("benches:")
+    for name, r in benches.items():
+        status = "ok" if r["passed"] else "FAIL"
+        print(f"  {name:<36} {r['wall_s']:7.2f}s  {status}")
+    print(f"drift against the previous {out.name}:")
+    print("\n".join(drift_table(previous, results)))
     out.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {out}")
-    failed = [
-        name
-        for name, r in results["benches"].items()  # type: ignore[union-attr]
-        if not r["passed"]
-    ]
+    failed = [name for name, r in benches.items() if not r["passed"]]
     if failed:
         print(f"FAILED benches: {failed}")
         return 1

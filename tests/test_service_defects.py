@@ -14,8 +14,8 @@ The ISSUE 8 stress contract, stated as tests:
   (``repair_fallbacks`` accounting), and a hopeless die propagates its
   ``PnrError`` through the future without poisoning the cache;
 * the warm repair path is pinned **>= 5x faster** than a cold
-  defect-aware compile (median over the fleet, measured here and
-  recorded — not gated — by ``benchmarks/bench_defects.py``).
+  defect-aware compile (median over the fleet; perfbench ``warm``
+  measures repair latency end to end).
 """
 
 import statistics

@@ -19,6 +19,8 @@ The acceptance pins, stated as tests:
   of a mid-chain netlist gets that step's exact bytes.
 """
 
+import gc
+import math
 import time
 
 import pytest
@@ -76,27 +78,35 @@ def test_five_edit_session_every_step_3x_or_provable_fallback():
     # pin then measures the delta path, not the bookkeeping.
     base = ripple_carry_netlist(16)
     edits = _five_edits(base)
-    # Cold reference: each edited netlist compiled from scratch, timed.
-    cold_s = []
-    for nl in edits:
-        t0 = time.perf_counter()
-        compile_to_fabric(nl, seed=0, workers=0)
-        cold_s.append(time.perf_counter() - t0)
-
-    with CompileService(workers=0) as svc:
-        session = svc.open_session(base)
-        for nl in edits:
-            session.apply(nl)
-        stats = svc.stats()
+    # Both sides are the best of 2, with the heap collected before every
+    # timed call, so a GC pause or a noisy neighbour cannot decide a
+    # ratio.  The session side is timed twice by replaying the whole
+    # session in a fresh service.
+    cold_s = [math.inf] * len(edits)
+    warm_s = [math.inf] * len(edits)
+    for _ in range(2):
+        for i, nl in enumerate(edits):
+            gc.collect()
+            t0 = time.perf_counter()
+            compile_to_fabric(nl, seed=0, workers=0)
+            cold_s[i] = min(cold_s[i], time.perf_counter() - t0)
+        with CompileService(workers=0) as svc:
+            session = svc.open_session(base)
+            for nl in edits:
+                gc.collect()
+                session.apply(nl)
+            stats = svc.stats()
+        for i, step in enumerate(session.steps):
+            warm_s[i] = min(warm_s[i], step.seconds)
 
     assert len(session.steps) == 5
-    for step, cold in zip(session.steps, cold_s):
+    for step, cold, warm in zip(session.steps, cold_s, warm_s):
         if step.fallback:
             continue  # provable: recorded on the step and counted below
         assert step.incremental, f"step {step.index} neither warm nor fallback"
-        assert cold / step.seconds >= 3.0, (
-            f"step {step.index}: {step.seconds:.4f}s vs cold {cold:.4f}s "
-            f"({cold / step.seconds:.1f}x < 3x)"
+        assert cold / warm >= 3.0, (
+            f"step {step.index}: {warm:.4f}s vs cold {cold:.4f}s "
+            f"({cold / warm:.1f}x < 3x)"
         )
     # Books: every non-fallback step is an incremental compile, every
     # fallback is counted — nothing escalates silently.

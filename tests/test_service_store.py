@@ -21,6 +21,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -336,6 +337,29 @@ def test_memory_tier_shields_the_store(tmp_path):
     assert a.from_store and not b.from_store
     assert b.cached
     assert stats["store"]["lookups"] == 1
+
+
+def test_each_tier_is_faster_than_the_one_behind_it(tmp_path):
+    """A disk hit beats a cold compile; a memory hit is no slower than
+    a disk hit (the hits are the best of 3 fresh services)."""
+    nl = _rca8()
+    with CompileService(workers=0, store=tmp_path) as svc:
+        t0 = time.perf_counter()
+        svc.compile(nl)
+        cold_s = time.perf_counter() - t0
+    disk_s, memory_s = [], []
+    for _ in range(3):
+        with CompileService(workers=0, store=tmp_path) as svc:
+            t0 = time.perf_counter()
+            disk = svc.compile(nl)
+            disk_s.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            memory = svc.compile(nl)
+            memory_s.append(time.perf_counter() - t0)
+        assert disk.from_store
+        assert memory.cached and not memory.from_store
+    assert min(disk_s) < cold_s
+    assert min(memory_s) <= min(disk_s)
 
 
 def test_single_flight_preserved_across_tiers(tmp_path):

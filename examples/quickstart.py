@@ -80,7 +80,7 @@ def main() -> None:
     from repro.fabric.array import CellArray
 
     clone = CellArray.from_bitstream(bits)
-    print(f"  round trip intact: {clone.configs[0][0] == cfg}")
+    print(f"  round trip intact: {clone.cell(0, 0) == cfg}")
 
 
 if __name__ == "__main__":

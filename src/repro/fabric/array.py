@@ -31,11 +31,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.fabric.bitstream import (
+    BLANK_DIGITS,
     cell_digits,
     cell_from_digits,
+    check_digits,
     decode_array,
     encode_array,
+    leaf_counts,
 )
 from repro.fabric.driver import DRIVER_DELAY, DriverMode
 from repro.fabric.mvram import N_CELLS
@@ -131,30 +136,50 @@ class CompiledFabric:
 
 
 class CellArray:
-    """A grid of polymorphic cells plus the abutment wiring rules."""
+    """A grid of polymorphic cells plus the abutment wiring rules.
+
+    The configuration is one ``(rows, cols, 64)`` uint8 matrix of frame
+    digits in the :mod:`repro.fabric.bitstream` layout, so a new array is
+    one allocation and the serialised forms are copies of it.
+    :meth:`cell` decodes a *copy* of one cell; :meth:`set_cell` is the
+    only way to write one.
+    """
 
     def __init__(self, n_rows: int, n_cols: int) -> None:
         if n_rows < 1 or n_cols < 1:
             raise ValueError(f"array shape must be >= 1x1, got {n_rows}x{n_cols}")
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
-        self.configs: list[list[CellConfig]] = [
-            [CellConfig() for _ in range(self.n_cols)] for _ in range(self.n_rows)
-        ]
+        blank = np.frombuffer(BLANK_DIGITS, dtype=np.uint8)
+        self._digits = np.tile(blank, (self.n_rows, self.n_cols, 1))
+
+    @classmethod
+    def _adopt(cls, grid: np.ndarray) -> "CellArray":
+        """An array over a copy of an already-checked digit grid."""
+        arr = cls.__new__(cls)
+        arr.n_rows, arr.n_cols = (int(n) for n in grid.shape[:2])
+        arr._digits = grid.copy()
+        return arr
 
     # ------------------------------------------------------------------
     # Config access
     # ------------------------------------------------------------------
     def cell(self, r: int, c: int) -> CellConfig:
-        """The configuration of the cell at (r, c)."""
+        """A decoded copy of the cell at (r, c); mutating it changes nothing.
+
+        Install an edited configuration with :meth:`set_cell`.
+        """
         self._check_pos(r, c)
-        return self.configs[r][c]
+        return cell_from_digits(self._digits[r, c])
 
     def set_cell(self, r: int, c: int, config: CellConfig) -> None:
-        """Install a configuration (validated) at (r, c)."""
+        """Validate ``config`` and encode it into the digits at (r, c).
+
+        The one writer of the array: later edits to ``config`` are not seen.
+        """
         self._check_pos(r, c)
         config.validate()
-        self.configs[r][c] = config
+        self._digits[r, c] = np.frombuffer(cell_digits(config), dtype=np.uint8)
 
     def _check_pos(self, r: int, c: int) -> None:
         if not (0 <= r < self.n_rows and 0 <= c < self.n_cols):
@@ -162,32 +187,37 @@ class CellArray:
                 f"cell position ({r}, {c}) outside {self.n_rows}x{self.n_cols} array"
             )
 
+    def configured_cells(
+        self, rows: range | None = None, cols: range | None = None
+    ) -> list[tuple[int, int]]:
+        """Positions of the non-blank cells, row-major (one vectorised scan).
+
+        ``rows`` and ``cols`` restrict the scan to a window of the array.
+        """
+        r0, r1 = (0, self.n_rows) if rows is None else (rows.start, rows.stop)
+        c0, c1 = (0, self.n_cols) if cols is None else (cols.start, cols.stop)
+        window = leaf_counts(self._digits[r0:r1, c0:c1])
+        return [(r0 + r, c0 + c) for r, c in np.argwhere(window).tolist()]
+
     def used_cells(self) -> int:
         """Number of non-blank cells (utilisation statistics)."""
-        return sum(
-            0 if cfg.is_blank() else 1 for row in self.configs for cfg in row
-        )
+        return int(np.count_nonzero(leaf_counts(self._digits)))
 
     def leaf_count(self) -> int:
         """Total configured leaf cells across the array (area proxy)."""
-        return sum(cfg.leaf_count() for row in self.configs for cfg in row)
+        return int(leaf_counts(self._digits).sum())
 
     # ------------------------------------------------------------------
-    # Bitstream round trip
+    # Serialised forms: copies of the digit matrix
     # ------------------------------------------------------------------
     def to_bitstream(self):
         """Serialise the whole array (see :mod:`repro.fabric.bitstream`)."""
-        return encode_array(self.configs)
+        return encode_array(self._digits)
 
     @classmethod
     def from_bitstream(cls, bits) -> "CellArray":
         """Rebuild an array from a serialised bitstream."""
-        configs = decode_array(bits)
-        arr = cls(len(configs), len(configs[0]))
-        for r, row in enumerate(configs):
-            for c, cfg in enumerate(row):
-                arr.set_cell(r, c, cfg)
-        return arr
+        return cls._adopt(decode_array(bits))
 
     def to_digits(self) -> bytes:
         """Every cell's 64 configuration digits, row-major, one per byte.
@@ -195,7 +225,7 @@ class CellArray:
         The frames of :meth:`to_bitstream` before bit packing, without
         header or CRC — the compact form the artifact codec stores.
         """
-        return b"".join(cell_digits(cfg) for row in self.configs for cfg in row)
+        return self._digits.tobytes()
 
     @classmethod
     def from_digits(cls, n_rows: int, n_cols: int, digits: bytes) -> "CellArray":
@@ -204,24 +234,19 @@ class CellArray:
             raise ValueError(
                 f"{len(digits)} digits do not fill a {n_rows}x{n_cols} array"
             )
-        arr = cls.__new__(cls)
-        arr.n_rows, arr.n_cols = int(n_rows), int(n_cols)
-        step = n_cols * N_CELLS
-        arr.configs = [
-            [
-                cell_from_digits(digits[k : k + N_CELLS])
-                for k in range(base, base + step, N_CELLS)
-            ]
-            for base in range(0, n_rows * step, step)
-        ]
-        return arr
+        grid = np.frombuffer(digits, dtype=np.uint8).reshape(n_rows, n_cols, N_CELLS)
+        check_digits(grid)
+        return cls._adopt(grid)
 
     # ------------------------------------------------------------------
     # Lowering onto the netlist IR
     # ------------------------------------------------------------------
-    def _column_net(self, nl: Netlist, r: int, c: int, col: int) -> NetRef:
-        """Resolve a cell's input-column source to a net."""
-        cfg = self.configs[r][c]
+    def _column_net(self, nl: Netlist, cfgs: dict, r: int, c: int, col: int) -> NetRef:
+        """Resolve a cell's input-column source to a net.
+
+        ``cfgs`` maps every configured position to its decoded cell.
+        """
+        cfg = cfgs[r, c]
         sel = cfg.input_select[col]
         if sel is InputSource.ABUT:
             return nl.net(wire_name(r, c, col))
@@ -238,8 +263,8 @@ class CellArray:
                 f"cell ({r},{c}) column {col} selects lfb of {partner.name} "
                 f"partner ({pr},{pc}), which is outside the array"
             )
-        tap = self.configs[pr][pc].lfb_taps[k]
-        if tap is None:
+        partner_cfg = cfgs.get((pr, pc))
+        if partner_cfg is None or partner_cfg.lfb_taps[k] is None:
             raise ConfigurationError(
                 f"cell ({r},{c}) column {col} reads lfb{k} of ({pr},{pc}) "
                 "but that line has no tap configured"
@@ -250,53 +275,49 @@ class CellArray:
         """Lower the configured array into the backend-neutral IR."""
         nl = Netlist(name=f"fabric{self.n_rows}x{self.n_cols}")
         n_gates = 0
-        for r in range(self.n_rows):
-            for c in range(self.n_cols):
-                cfg = self.configs[r][c]
-                if cfg.is_blank():
+        cfgs = {pos: self.cell(*pos) for pos in self.configured_cells()}
+        for (r, c), cfg in cfgs.items():
+            col_nets = [
+                self._column_net(nl, cfgs, r, c, col) for col in range(N_INPUTS)
+            ]
+            row_nets = [nl.net(row_net_name(r, c, j)) for j in range(N_ROWS)]
+            needed = set(cfg.used_rows())
+            for j in range(N_ROWS):
+                if j not in needed:
                     continue
-                cfg.validate()
-                col_nets = [
-                    self._column_net(nl, r, c, col) for col in range(N_INPUTS)
-                ]
-                row_nets = [nl.net(row_net_name(r, c, j)) for j in range(N_ROWS)]
-                needed = set(cfg.used_rows())
-                for j in range(N_ROWS):
-                    if j not in needed:
-                        continue
-                    kind = cfg.row_kind(j)
-                    gname = f"cell[{r}][{c}].row{j}"
-                    if kind == "const1":
-                        nl.add("const", gname, [], row_nets[j], delay=ROW_DELAY, value=ONE)
-                    elif kind == "const0":
-                        nl.add("const", gname, [], row_nets[j], delay=ROW_DELAY, value=ZERO)
-                    else:
-                        ins = [col_nets[col] for col in cfg.active_columns(j)]
-                        nl.add("nand", gname, ins, row_nets[j], delay=ROW_DELAY)
-                    n_gates += 1
-                for j in range(N_ROWS):
-                    mode = cfg.drivers[j]
-                    if mode is DriverMode.OFF:
-                        continue
-                    if cfg.directions[j] is Direction.EAST:
-                        target = nl.net(wire_name(r, c + 1, j))
-                    else:
-                        target = nl.net(wire_name(r + 1, c, j))
-                    gname = f"cell[{r}][{c}].drv{j}"
-                    delay = DRIVER_DELAY[mode]
-                    kind = "not" if mode is DriverMode.INVERT else "buf"
-                    nl.add(kind, gname, [row_nets[j]], target, delay=delay)
-                    n_gates += 1
-                for k in range(N_LFB):
-                    tap = cfg.lfb_taps[k]
-                    if tap is None:
-                        continue
-                    gname = f"cell[{r}][{c}].lfb{k}"
-                    nl.add(
-                        "buf", gname, [row_nets[tap]],
-                        nl.net(lfb_net_name(r, c, k)), delay=LFB_DELAY,
-                    )
-                    n_gates += 1
+                kind = cfg.row_kind(j)
+                gname = f"cell[{r}][{c}].row{j}"
+                if kind == "const1":
+                    nl.add("const", gname, [], row_nets[j], delay=ROW_DELAY, value=ONE)
+                elif kind == "const0":
+                    nl.add("const", gname, [], row_nets[j], delay=ROW_DELAY, value=ZERO)
+                else:
+                    ins = [col_nets[col] for col in cfg.active_columns(j)]
+                    nl.add("nand", gname, ins, row_nets[j], delay=ROW_DELAY)
+                n_gates += 1
+            for j in range(N_ROWS):
+                mode = cfg.drivers[j]
+                if mode is DriverMode.OFF:
+                    continue
+                if cfg.directions[j] is Direction.EAST:
+                    target = nl.net(wire_name(r, c + 1, j))
+                else:
+                    target = nl.net(wire_name(r + 1, c, j))
+                gname = f"cell[{r}][{c}].drv{j}"
+                delay = DRIVER_DELAY[mode]
+                kind = "not" if mode is DriverMode.INVERT else "buf"
+                nl.add(kind, gname, [row_nets[j]], target, delay=delay)
+                n_gates += 1
+            for k in range(N_LFB):
+                tap = cfg.lfb_taps[k]
+                if tap is None:
+                    continue
+                gname = f"cell[{r}][{c}].lfb{k}"
+                nl.add(
+                    "buf", gname, [row_nets[tap]],
+                    nl.net(lfb_net_name(r, c, k)), delay=LFB_DELAY,
+                )
+                n_gates += 1
         inputs, outputs = self._classify_boundary(nl)
         for name in inputs:
             nl.add_input(name)

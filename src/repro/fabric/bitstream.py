@@ -16,15 +16,18 @@ digits  contents
 59-63   reserved (must read back 0)
 ====== ===========================================================
 
-An array-level bitstream is simply the concatenation of per-cell frames in
-row-major cell order, prefixed by a small header with the array shape and a
-CRC-16 over the payload — enough structure to catch truncated or corrupted
-streams in tests without inventing a full configuration protocol the paper
-does not describe.
+An array's configuration is a ``(rows, cols, 64)`` uint8 matrix of these
+digits (what :class:`repro.fabric.array.CellArray` stores).  Its bitstream
+is simply the concatenation of per-cell frames in row-major cell order,
+prefixed by a small header with the array shape and a CRC-16 over the
+payload — enough structure to catch truncated or corrupted streams in
+tests without inventing a full configuration protocol the paper does not
+describe.
 """
 
 from __future__ import annotations
 
+import binascii
 from functools import lru_cache
 from itertools import chain
 
@@ -54,32 +57,32 @@ _OFF_PARTNER = 54
 _OFF_TAPS = 55
 _OFF_RESERVED = 59
 _RESERVED = (0,) * (N_CELLS - _OFF_RESERVED)
-
+#: Largest legal value of each digit, and the field it belongs to.  A
+#: tap's high digit is 0 or 1: the pair encodes a row 0..5, or 7 (unused).
+_DIGIT_MAX = np.array(
+    [2] * _OFF_DRIVER + [3] * N_ROWS + [1] * N_ROWS + [2] * N_INPUTS + [2]
+    + [1, 3] * N_LFB + list(_RESERVED),
+    dtype=np.uint8,
+)
+_FIELD = (
+    ["crosspoint"] * _OFF_DRIVER + ["driver"] * N_ROWS + ["direction"] * N_ROWS
+    + ["input-select"] * N_INPUTS + ["lfb-partner"] + ["lfb tap"] * 2 * N_LFB
+    + ["reserved"] * len(_RESERVED)
+)
 
 _LEAF = tuple(LeafState(v) for v in range(3))
 _DRIVER = tuple(DriverMode(v) for v in range(4))
 _DIRECTION = tuple(Direction(v) for v in range(2))
 _INSEL = tuple(InputSource(v) for v in range(3))
 _PARTNER = tuple(LfbPartner(v) for v in range(3))
-_BLANK_CELL = CellConfig()
-#: The blank cell's digits: every field 0 except the two unused lfb taps.
-_BLANK_DIGITS = (
-    bytes(_OFF_TAPS)
-    + bytes([_TAP_NONE >> 2, _TAP_NONE & 0b11] * N_LFB)
-    + bytes(_RESERVED)
-)
 
 
 def cell_digits(config: CellConfig) -> bytes:
     """One CellConfig's 64 quaternary digits as raw bytes, unvalidated.
 
-    The byte-level core of :func:`encode_cell`: :class:`CellArray`
-    packs whole arrays through it (installed configs were validated by
-    :meth:`CellArray.set_cell`), and the artifact codec stores the
-    result as an array's ``array`` section.
+    The byte-level core of :func:`encode_cell` and of
+    :meth:`CellArray.set_cell` (which validates first).
     """
-    if config == _BLANK_CELL:  # most of a compiled array
-        return _BLANK_DIGITS
     t0, t1 = config.lfb_taps
     if t0 is None:
         t0 = _TAP_NONE
@@ -94,6 +97,10 @@ def cell_digits(config: CellConfig) -> bytes:
         t0 >> 2 & 0b11, t0 & 0b11, t1 >> 2 & 0b11, t1 & 0b11,
         *_RESERVED,
     ])
+
+
+#: The blank cell's digits: every field 0 except the two unused lfb taps.
+BLANK_DIGITS = cell_digits(CellConfig())
 
 
 def cell_from_digits(digits: bytes) -> CellConfig:
@@ -120,37 +127,8 @@ def _cell_fields(d: bytes) -> tuple:
     """
     if len(d) != N_CELLS:
         raise ValueError(f"need {N_CELLS} digits, got {len(d)}")
-    if max(d[_OFF_XPOINT:_OFF_DRIVER]) > 2:
-        k = next(k for k in range(_OFF_DRIVER) if d[k] > 2)
-        raise ValueError(
-            f"crosspoint digit {d[k]} at row {k // N_INPUTS} col "
-            f"{k % N_INPUTS} out of range"
-        )
-    if max(d[_OFF_DRIVER:_OFF_DIRECTION]) > 3:
-        raise ValueError(
-            f"driver digits {list(d[_OFF_DRIVER:_OFF_DIRECTION])} out of range"
-        )
-    if max(d[_OFF_DIRECTION:_OFF_INSEL]) > 1:
-        raise ValueError(
-            f"direction digits {list(d[_OFF_DIRECTION:_OFF_INSEL])} out of range"
-        )
-    if max(d[_OFF_INSEL:_OFF_PARTNER]) > 2:
-        raise ValueError(
-            f"input-select digits {list(d[_OFF_INSEL:_OFF_PARTNER])} out of range"
-        )
-    if d[_OFF_PARTNER] > 2:
-        raise ValueError(f"lfb-partner digit {d[_OFF_PARTNER]} out of range")
-    taps = []
-    for t in range(N_LFB):
-        value = d[_OFF_TAPS + 2 * t] << 2 | d[_OFF_TAPS + 2 * t + 1]
-        if value == _TAP_NONE:
-            taps.append(None)
-        elif value < N_ROWS:
-            taps.append(value)
-        else:
-            raise ValueError(f"lfb tap {t} digit pair encodes {value}, out of range")
-    if any(d[_OFF_RESERVED:]):
-        raise ValueError("reserved digits must be zero")
+    check_digits(np.frombuffer(d, dtype=np.uint8))
+    taps = [d[k] << 2 | d[k + 1] for k in range(_OFF_TAPS, _OFF_RESERVED, 2)]
     return (
         tuple(
             tuple(_LEAF[v] for v in d[k : k + N_INPUTS])
@@ -160,7 +138,7 @@ def _cell_fields(d: bytes) -> tuple:
         tuple(_DIRECTION[v] for v in d[_OFF_DIRECTION:_OFF_INSEL]),
         tuple(_INSEL[v] for v in d[_OFF_INSEL:_OFF_PARTNER]),
         _PARTNER[d[_OFF_PARTNER]],
-        tuple(taps),
+        tuple(None if t == _TAP_NONE else t for t in taps),
     )
 
 
@@ -180,6 +158,45 @@ def decode_cell(digits) -> CellConfig:
     return cell_from_digits(arr.astype(np.uint8).tobytes())
 
 
+def _tap_values(digits: np.ndarray) -> np.ndarray:
+    """The two lfb tap values (row, or 7 for unused) of every cell."""
+    hi = digits[..., _OFF_TAPS:_OFF_RESERVED:2]
+    return hi << 2 | digits[..., _OFF_TAPS + 1:_OFF_RESERVED:2]
+
+
+def check_digits(digits: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every cell of a ``(..., 64)`` grid decodes.
+
+    The one validity rule for configuration digits, applied to all cells
+    in one vectorised pass: every digit within its field's range, and no
+    lfb tap pair encoding ``N_ROWS`` (neither a row nor unused).  The
+    error names the first offending digit.
+    """
+    cells = digits.reshape(-1, N_CELLS)
+    bad = cells > _DIGIT_MAX
+    bad[:, _OFF_TAPS:_OFF_RESERVED:2] |= _tap_values(cells) == N_ROWS
+    if bad.any():
+        i, k = divmod(int(bad.argmax()), N_CELLS)
+        v = int(cells[i, k])
+        where = f"cell {i} " if len(cells) > 1 else ""
+        if v > _DIGIT_MAX[k]:
+            what = f"{_FIELD[k]} digit {v}"
+        else:
+            what = f"lfb tap digit pair encoding {N_ROWS}"
+        raise ValueError(f"{where}{what} at frame digit {k} out of range")
+
+
+def leaf_counts(digits: np.ndarray) -> np.ndarray:
+    """:meth:`CellConfig.leaf_count` of every cell of a ``(..., 64)`` grid.
+
+    Crosspoints off their FORCE_OFF default, drivers not OFF and used lfb
+    taps; zero marks a blank cell (:meth:`CellConfig.is_blank`).
+    """
+    return np.count_nonzero(digits[..., :_OFF_DIRECTION], axis=-1) + np.count_nonzero(
+        _tap_values(digits) != _TAP_NONE, axis=-1
+    )
+
+
 def cell_to_frame(config: CellConfig) -> np.ndarray:
     """CellConfig -> 128-bit frame via the MVRAM digit layout."""
     ram = MVRAM()
@@ -193,63 +210,53 @@ def frame_to_cell(bits) -> CellConfig:
 
 
 def crc16(bits: np.ndarray) -> int:
-    """CRC-16/CCITT over a bit array (MSB-first)."""
-    reg = 0xFFFF
-    # Pack to bytes for a byte-wise CRC loop.
-    arr = np.asarray(bits, dtype=np.uint8)
-    pad = (-len(arr)) % 8
-    if pad:
-        arr = np.concatenate([arr, np.zeros(pad, dtype=np.uint8)])
-    for byte in np.packbits(arr):
-        reg ^= int(byte) << 8
-        for _ in range(8):
-            if reg & 0x8000:
-                reg = ((reg << 1) ^ 0x1021) & 0xFFFF
-            else:
-                reg = (reg << 1) & 0xFFFF
-    return reg
+    """CRC-16/CCITT-FALSE over a bit array (MSB-first, zero-padded to bytes)."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8))
+    return binascii.crc_hqx(packed.tobytes(), 0xFFFF)
 
 
 class BitstreamError(ValueError):
     """Malformed or corrupted array bitstream."""
 
 
-def encode_array(configs: list[list[CellConfig]]) -> np.ndarray:
-    """Concatenate per-cell frames with a shape header and CRC.
+def encode_array(digits) -> np.ndarray:
+    """Serialise a ``(rows, cols, 64)`` digit grid with a shape header and CRC.
 
     Layout: 8 bits rows | 8 bits cols | frames... | 16 bits CRC (over the
-    frame payload only).
+    frame payload only).  A frame is its cell's digits at two bits each,
+    MSB first — the :meth:`repro.fabric.mvram.MVRAM.to_bits` order.
     """
-    n_rows = len(configs)
-    if n_rows == 0 or n_rows > 255:
-        raise BitstreamError(f"array rows must be 1..255, got {n_rows}")
-    n_cols = len(configs[0])
-    if n_cols == 0 or n_cols > 255:
-        raise BitstreamError(f"array cols must be 1..255, got {n_cols}")
-    frames = []
-    for r, row in enumerate(configs):
-        if len(row) != n_cols:
-            raise BitstreamError(f"row {r} has {len(row)} cells, expected {n_cols}")
-        for cfg in row:
-            frames.append(cell_to_frame(cfg))
-    payload = np.concatenate(frames) if frames else np.zeros(0, dtype=np.uint8)
-    header = np.array(
-        [(n_rows >> k) & 1 for k in range(7, -1, -1)]
-        + [(n_cols >> k) & 1 for k in range(7, -1, -1)],
-        dtype=np.uint8,
-    )
+    try:
+        grid = np.asarray(digits, dtype=np.uint8)
+    except ValueError as exc:  # ragged rows do not form a grid
+        raise BitstreamError(f"rows of cells do not form a grid: {exc}") from exc
+    if grid.ndim != 3 or grid.shape[2] != N_CELLS:
+        raise BitstreamError(
+            f"need rows of cells of {N_CELLS} digits each, got shape {grid.shape}"
+        )
+    for name, n in zip(("rows", "cols"), grid.shape):
+        if not 1 <= n <= 255:
+            raise BitstreamError(f"array {name} must be 1..255, got {n}")
+    check_digits(grid)
+    payload = np.unpackbits(grid.reshape(-1, 1), axis=1)[:, 6:].reshape(-1)
     crc = crc16(payload)
-    trailer = np.array([(crc >> k) & 1 for k in range(15, -1, -1)], dtype=np.uint8)
-    return np.concatenate([header, payload, trailer])
+    return np.concatenate([
+        np.unpackbits(np.array(grid.shape[:2], dtype=np.uint8)),
+        payload,
+        np.unpackbits(np.array([crc >> 8, crc & 0xFF], dtype=np.uint8)),
+    ])
 
 
-def decode_array(bits) -> list[list[CellConfig]]:
-    """Inverse of :func:`encode_array`, verifying shape and CRC."""
+def decode_array(bits) -> np.ndarray:
+    """Inverse of :func:`encode_array`, verifying shape, CRC and digits."""
     arr = np.asarray(bits, dtype=np.uint8)
     if arr.ndim != 1 or len(arr) < 32:
         raise BitstreamError("bitstream too short for header and CRC")
-    n_rows = int(arr[:8] @ (1 << np.arange(7, -1, -1)))
-    n_cols = int(arr[8:16] @ (1 << np.arange(7, -1, -1)))
+    if arr.max() > 1:
+        raise BitstreamError("bitstream bits must be 0/1")
+    n_rows, n_cols = (int(v) for v in np.packbits(arr[:16]))
+    if not n_rows or not n_cols:
+        raise BitstreamError(f"bitstream header declares a {n_rows}x{n_cols} array")
     expected = 16 + n_rows * n_cols * FRAME_BITS + 16
     if len(arr) != expected:
         raise BitstreamError(
@@ -257,15 +264,9 @@ def decode_array(bits) -> list[list[CellConfig]]:
             f"{n_rows}x{n_cols} array"
         )
     payload = arr[16:-16]
-    crc_stored = int(arr[-16:] @ (1 << np.arange(15, -1, -1)))
-    if crc16(payload) != crc_stored:
+    hi, lo = (int(v) for v in np.packbits(arr[-16:]))
+    if crc16(payload) != hi << 8 | lo:
         raise BitstreamError("CRC mismatch: corrupted bitstream")
-    out: list[list[CellConfig]] = []
-    k = 0
-    for _ in range(n_rows):
-        row = []
-        for _ in range(n_cols):
-            row.append(frame_to_cell(payload[k : k + FRAME_BITS]))
-            k += FRAME_BITS
-        out.append(row)
-    return out
+    grid = (payload[0::2] << 1 | payload[1::2]).reshape(n_rows, n_cols, N_CELLS)
+    check_digits(grid)
+    return grid

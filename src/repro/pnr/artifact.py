@@ -24,7 +24,7 @@ bytes]`` per section.  Sharded results list one such header per shard.
 
 The **sections** are decoded only when the field is first touched
 (:func:`repro.pnr.flow.lazy_fields`): ``source``, ``design``, ``array``
-(the raw configuration digits, :meth:`repro.fabric.CellArray.to_digits`),
+(a copy of the array's digit buffer, :meth:`repro.fabric.CellArray.to_digits`),
 ``placement``, ``routes`` (the commit journals' five op kinds restored
 to their exact tuples and ``Direction`` members), ``timing`` and
 ``routing_state`` (stored as-is, never re-derived by replaying the

@@ -1,9 +1,10 @@
 """Stage 4 — emission: routing state to concrete cell configurations.
 
 Turns the bookkeeping of :class:`repro.pnr.route.RoutingState` into
-validated :class:`repro.fabric.nandcell.CellConfig` objects installed on
-a :class:`repro.fabric.array.CellArray`.  The emitted array is ordinary
-fabric state: it serialises through :mod:`repro.fabric.bitstream`, lowers
+:class:`repro.fabric.nandcell.CellConfig` objects and encodes each, once
+validated, into a :class:`repro.fabric.array.CellArray`'s digit matrix.
+The emitted array is ordinary fabric state: it serialises through
+:mod:`repro.fabric.bitstream`, lowers
 through :meth:`CellArray.to_netlist`, and simulates on either netlist
 backend — nothing downstream knows the configuration came from an
 automatic flow rather than a hand-placed macro.

@@ -476,12 +476,13 @@ def _check_region(array: CellArray, region: Region) -> None:
             f"region {region.name!r} exceeds the {array.n_rows}x"
             f"{array.n_cols} array"
         )
-    for r in range(region.row, region.row + region.n_rows):
-        for c in range(region.col, region.col + region.n_cols):
-            if not array.cell(r, c).is_blank():
-                raise PnrError(
-                    f"region {region.name!r} overlaps configured cell ({r},{c})"
-                )
+    configured = array.configured_cells(
+        range(region.row, region.row + region.n_rows),
+        range(region.col, region.col + region.n_cols),
+    )
+    if configured:
+        r, c = configured[0]
+        raise PnrError(f"region {region.name!r} overlaps configured cell ({r},{c})")
 
 
 def _build_result(

@@ -1215,12 +1215,12 @@ def anneal_placement(
     """
     region = placement.region
     names = list(design.gates)
+    if batch_moves is not None and batch_moves < 1:
+        raise ValueError("batch_moves must be >= 1")
     if stats is not None:
         stats.update(evaluated=0, accepted=0, batches=0)
     if len(names) < 2:
         return placement
-    if batch_moves is not None and batch_moves < 1:
-        raise ValueError("batch_moves must be >= 1")
     default_budget = steps is None
     if steps is None:
         steps = default_anneal_steps(len(names))

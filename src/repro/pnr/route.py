@@ -202,22 +202,19 @@ class RoutingState:
         from repro.fabric.driver import DriverMode
         from repro.fabric.nandcell import Direction as Dir, InputSource
 
-        for r in range(array.n_rows):
-            for c in range(array.n_cols):
-                cfg = array.cell(r, c)
-                if cfg.is_blank():
-                    continue
-                for row in cfg.used_rows():
-                    if cfg.drivers[row] is not DriverMode.OFF:
-                        target = (
-                            (r, c + 1, row)
-                            if cfg.directions[row] is Dir.EAST
-                            else (r + 1, c, row)
-                        )
-                        self.wire_net.setdefault(target, EXISTING_OWNER)
-                    for col in cfg.active_columns(row):
-                        if cfg.input_select[col] is InputSource.ABUT:
-                            self.wire_net.setdefault((r, c, col), EXISTING_OWNER)
+        for r, c in array.configured_cells():
+            cfg = array.cell(r, c)
+            for row in cfg.used_rows():
+                if cfg.drivers[row] is not DriverMode.OFF:
+                    target = (
+                        (r, c + 1, row)
+                        if cfg.directions[row] is Dir.EAST
+                        else (r + 1, c, row)
+                    )
+                    self.wire_net.setdefault(target, EXISTING_OWNER)
+                for col in cfg.active_columns(row):
+                    if cfg.input_select[col] is InputSource.ABUT:
+                        self.wire_net.setdefault((r, c, col), EXISTING_OWNER)
 
     # -- transactional routing -----------------------------------------
     # All occupancy mutations go through the journaled mutators below,

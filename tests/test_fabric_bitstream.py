@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fabric.array import CellArray
 from repro.fabric.bitstream import (
     BitstreamError,
+    _cell_fields,
+    cell_digits,
     cell_to_frame,
     crc16,
     decode_array,
@@ -127,33 +130,69 @@ class TestCellFrame:
             decode_cell(digits)
 
 
+def digit_grid(configs) -> np.ndarray:
+    """The ``(rows, cols, 64)`` digit grid of rows of CellConfigs."""
+    return np.array([[encode_cell(cfg) for cfg in row] for row in configs])
+
+
+def crc16_bitwise(bits) -> int:
+    """The per-bit CRC-16/CCITT-FALSE loop: the oracle for :func:`crc16`."""
+    reg = 0xFFFF
+    arr = np.asarray(bits, dtype=np.uint8)
+    for byte in np.packbits(arr):  # zero-pads a partial last byte
+        reg ^= int(byte) << 8
+        for _ in range(8):
+            if reg & 0x8000:
+                reg = ((reg << 1) ^ 0x1021) & 0xFFFF
+            else:
+                reg = (reg << 1) & 0xFFFF
+    return reg
+
+
 class TestArrayBitstream:
     def test_round_trip(self):
         rng = np.random.default_rng(11)
         configs = [[random_config(rng) for _ in range(3)] for _ in range(2)]
-        back = decode_array(encode_array(configs))
-        assert back == configs
+        back = decode_array(encode_array(digit_grid(configs)))
+        assert [[decode_cell(d) for d in row] for row in back] == configs
 
     def test_stream_length(self):
         configs = [[CellConfig() for _ in range(4)] for _ in range(2)]
-        bits = encode_array(configs)
+        bits = encode_array(digit_grid(configs))
         assert len(bits) == 16 + 2 * 4 * FRAME_BITS + 16
 
     def test_corruption_detected(self):
-        configs = [[CellConfig()]]
-        bits = encode_array(configs)
+        bits = encode_array(digit_grid([[CellConfig()]]))
         bits[40] ^= 1  # flip a payload bit
         with pytest.raises(BitstreamError, match="CRC"):
             decode_array(bits)
 
     def test_truncation_detected(self):
-        bits = encode_array([[CellConfig()]])
+        bits = encode_array(digit_grid([[CellConfig()]]))
         with pytest.raises(BitstreamError, match="length"):
             decode_array(bits[:-8])
 
     def test_ragged_rows_rejected(self):
+        blank = encode_cell(CellConfig())
         with pytest.raises(BitstreamError, match="cells"):
-            encode_array([[CellConfig(), CellConfig()], [CellConfig()]])
+            encode_array([[blank, blank], [blank]])
+        with pytest.raises(BitstreamError, match="cells"):
+            encode_array(np.zeros((2, 2, N_CELLS - 1), dtype=np.uint8))
+
+    def test_non_binary_bits_and_empty_shapes_rejected(self):
+        bits = encode_array(digit_grid([[CellConfig()]]))
+        bits[40] = 2
+        with pytest.raises(BitstreamError, match="0/1"):
+            decode_array(bits)
+        empty = np.zeros(32, dtype=np.uint8)  # a 0x0 header, no frames
+        with pytest.raises(BitstreamError, match="0x0"):
+            decode_array(empty)
+
+    def test_encode_refuses_out_of_range_digits(self):
+        grid = digit_grid([[CellConfig()]])
+        grid[0, 0, 42] = 2  # direction digits are 0..1
+        with pytest.raises(ValueError, match="direction"):
+            encode_array(grid)
 
     def test_crc16_known_properties(self):
         bits = np.zeros(64, dtype=np.uint8)
@@ -162,3 +201,57 @@ class TestArrayBitstream:
         b = crc16(bits)
         assert a != b
         assert 0 <= a <= 0xFFFF
+
+    @given(n=st.integers(0, 2_000), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_crc16_matches_the_bitwise_oracle(self, n, seed):
+        # Includes lengths that are not a multiple of 8 (zero-padded).
+        bits = np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
+        assert crc16(bits) == crc16_bitwise(bits)
+
+    def test_crc16_matches_the_oracle_on_an_rca8_sized_payload(self):
+        bits = np.random.default_rng(8).integers(0, 2, 31 * 31 * FRAME_BITS,
+                                                 dtype=np.uint8)
+        assert crc16(bits) == crc16_bitwise(bits)
+
+
+class TestDigitGrid:
+    @given(seed=st.integers(0, 2**32 - 1), big=st.integers(9, 255))
+    @settings(max_examples=25, deadline=None)
+    def test_from_digits_rejects_exactly_what_the_cell_decoder_rejects(
+        self, seed, big
+    ):
+        # A 2x3 grid of random valid cells; every digit position in turn
+        # is overwritten with 0..8 and one large value.  The oracle is
+        # the frame layout in the module docstring: each field's largest
+        # digit, and a tap pair encoding a row 0..5 or 7.
+        rng = np.random.default_rng(seed)
+        base = [cell_digits(random_config(rng)) for _ in range(6)]
+        field_max = [(36, 2), (42, 3), (48, 1), (54, 2), (55, 2), (59, 3), (64, 0)]
+        for pos in range(N_CELLS):
+            top = next(top for end, top in field_max if pos < end)
+            cell = pos % 6
+            for value in [*range(9), big]:
+                d = bytearray(base[cell])
+                d[pos] = value
+                valid = value <= top
+                if 55 <= pos < 59:
+                    hi = pos - (pos - 55) % 2
+                    valid = valid and d[hi] * 4 + d[hi + 1] in (0, 1, 2, 3, 4, 5, 7)
+                digits = b"".join([*base[:cell], d, *base[cell + 1 :]])
+                if valid:
+                    _cell_fields(bytes(d))
+                    assert CellArray.from_digits(2, 3, digits).to_digits() == digits
+                else:
+                    with pytest.raises(ValueError):
+                        _cell_fields(bytes(d))
+                    with pytest.raises(ValueError, match=f"cell {cell} "):
+                        CellArray.from_digits(2, 3, digits)
+
+    def test_tap_digits_are_quaternary(self):
+        # (0, 7) would read as "no tap" but is not a digit pair the
+        # encoder writes, and its low digit does not fit in two bits.
+        digits = bytearray(cell_digits(CellConfig()))
+        digits[55], digits[56] = 0, 7
+        with pytest.raises(ValueError, match="lfb tap"):
+            CellArray.from_digits(1, 1, bytes(digits))

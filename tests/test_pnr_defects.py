@@ -38,7 +38,7 @@ from repro.datapath.adder import ripple_carry_netlist
 from repro.fabric.array import CellArray
 from repro.fabric.driver import DriverMode
 from repro.fabric.floorplan import Region
-from repro.fabric.nandcell import Direction, N_INPUTS, N_ROWS
+from repro.fabric.nandcell import CellConfig, Direction, N_INPUTS, N_ROWS
 from repro.pnr import (
     DefectMap,
     DefectViolation,
@@ -338,9 +338,9 @@ def test_clean_checker_passes_a_blank_array():
 def test_clean_checker_flags_a_configured_dead_cell():
     dm = DefectMap(3, 3, dead_cells=[(1, 1)])
     array = CellArray(3, 3)
-    cfg = array.cell(1, 1)
-    cfg.set_product(0, [0])
+    cfg = CellConfig().set_product(0, [0])
     cfg.drivers[0] = DriverMode.BUFFER
+    array.set_cell(1, 1, cfg)
     (violation,) = defect_violations(array, dm)
     assert "dead cell" in violation
 
@@ -348,9 +348,9 @@ def test_clean_checker_flags_a_configured_dead_cell():
 def test_clean_checker_flags_a_programmed_stuck_row():
     dm = DefectMap(3, 3, stuck_rows=[(2, 0, 3)])
     array = CellArray(3, 3)
-    cfg = array.cell(2, 0)
-    cfg.set_product(3, [1])
+    cfg = CellConfig().set_product(3, [1])
     cfg.drivers[3] = DriverMode.BUFFER
+    array.set_cell(2, 0, cfg)
     (violation,) = defect_violations(array, dm)
     assert "stuck" in violation
 
@@ -359,10 +359,10 @@ def test_clean_checker_flags_driving_a_dead_wire_east():
     dm = DefectMap(3, 3, dead_wires=[(1, 1, 2)])
     array = CellArray(3, 3)
     # Wire (1, 1, 2)'s west driver is cell (1, 0), row 2, EAST.
-    cfg = array.cell(1, 0)
-    cfg.set_product(2, [0])
+    cfg = CellConfig().set_product(2, [0])
     cfg.drivers[2] = DriverMode.BUFFER
     cfg.directions[2] = Direction.EAST
+    array.set_cell(1, 0, cfg)
     (violation,) = defect_violations(array, dm)
     assert "drives dead wire" in violation
 
@@ -371,10 +371,10 @@ def test_clean_checker_flags_driving_a_dead_wire_north():
     dm = DefectMap(3, 3, dead_wires=[(1, 1, 2)])
     array = CellArray(3, 3)
     # Wire (1, 1, 2)'s south driver is cell (0, 1), row 2, NORTH.
-    cfg = array.cell(0, 1)
-    cfg.set_product(2, [0])
+    cfg = CellConfig().set_product(2, [0])
     cfg.drivers[2] = DriverMode.BUFFER
     cfg.directions[2] = Direction.NORTH
+    array.set_cell(0, 1, cfg)
     (violation,) = defect_violations(array, dm)
     assert "drives dead wire" in violation
 
@@ -383,9 +383,9 @@ def test_clean_checker_flags_reading_a_dead_wire():
     dm = DefectMap(3, 3, dead_wires=[(1, 1, 2)])
     array = CellArray(3, 3)
     # Cell (1, 1) reads wire (1, 1, 2) through input column 2.
-    cfg = array.cell(1, 1)
-    cfg.set_product(0, [2])
+    cfg = CellConfig().set_product(0, [2])
     cfg.drivers[0] = DriverMode.BUFFER
+    array.set_cell(1, 1, cfg)
     (violation,) = defect_violations(array, dm)
     assert "reads dead wire" in violation
 
@@ -394,18 +394,44 @@ def test_clean_checker_ignores_unrelated_configuration():
     # A fully-used cell far from every defect is not a violation.
     dm = DefectMap(3, 3, dead_cells=[(2, 2)], dead_wires=[(2, 2, 0)])
     array = CellArray(3, 3)
-    cfg = array.cell(0, 0)
-    cfg.set_product(0, [0, 1])
+    cfg = CellConfig().set_product(0, [0, 1])
     cfg.drivers[0] = DriverMode.BUFFER
+    array.set_cell(0, 0, cfg)
     assert defect_violations(array, dm) == []
 
 
 def test_assert_defect_clean_raises_with_a_sample_of_violations():
     dm = DefectMap(3, 3, dead_cells=[(1, 1)])
     array = CellArray(3, 3)
-    array.cell(1, 1).set_product(0, [0]).drivers[0] = DriverMode.BUFFER
+    cfg = CellConfig().set_product(0, [0])
+    cfg.drivers[0] = DriverMode.BUFFER
+    array.set_cell(1, 1, cfg)
     with pytest.raises(DefectViolation, match="dead cell"):
         assert_defect_clean(array, dm)
+
+
+def test_cell_returns_a_copy_and_set_cell_is_the_only_writer():
+    # The checkers above configure cells through set_cell because
+    # cell() decodes a copy: editing it leaves the array's digits alone.
+    array = CellArray(3, 3)
+    before = array.to_digits()
+    cfg = array.cell(1, 1)
+    cfg.set_product(0, [0])
+    cfg.drivers[0] = DriverMode.BUFFER
+    assert array.to_digits() == before
+    assert array.cell(1, 1).is_blank()
+    assert defect_violations(array, DefectMap(3, 3, dead_cells=[(1, 1)])) == []
+    array.set_cell(1, 1, cfg)
+    assert array.cell(1, 1) == cfg and array.to_digits() != before
+    cfg.drivers[1] = DriverMode.BUFFER  # later edits are not seen either
+    assert array.cell(1, 1).drivers[1] is DriverMode.OFF
+    # set_cell validates before it writes anything.
+    written = array.to_digits()
+    bad = CellConfig()
+    bad.lfb_taps[0] = 9
+    with pytest.raises(ValueError, match="lfb tap"):
+        array.set_cell(0, 0, bad)
+    assert array.to_digits() == written
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ Covers the correctness contracts the perf rework leans on:
   serial compile.
 """
 
+import gc
 import random
+import types
 
 import numpy as np
 import pytest
@@ -143,12 +145,18 @@ class TestBatchedEvaluator:
         assert dominance_violations(design, refined) == 0
 
     def test_batch_moves_must_be_positive(self):
-        """A batch must hold at least one candidate move."""
-        design = small_design()
-        _, _, placement = seeded_placement(design)
-        with pytest.raises(ValueError, match="batch_moves"):
-            anneal_placement(design, placement, random.Random(0),
-                             batch_moves=0)
+        """A batch must hold at least one candidate move, on any design.
+
+        The one-gate design has nothing to anneal, so it returns early;
+        the argument is still checked first.
+        """
+        nl = Netlist("one")
+        nl.add("not", "g", [nl.add_input("a")], nl.add_output("y"))
+        for design in (small_design(), map_netlist(nl)):
+            _, _, placement = seeded_placement(design)
+            with pytest.raises(ValueError, match="batch_moves"):
+                anneal_placement(design, placement, random.Random(0),
+                                 batch_moves=0)
 
 
 # ----------------------------------------------------------------------
@@ -290,3 +298,30 @@ class TestParallelShards:
         nl = self._chain()
         res = compile_sharded(nl, n_shards=3, seed=0, workers=3)
         assert res.verify(n_vectors=64, event_vectors=2)["ok"]
+
+
+# ----------------------------------------------------------------------
+# Memory held by a result
+# ----------------------------------------------------------------------
+
+def _gc_tracked(root) -> int:
+    """GC-tracked objects reachable from ``root`` (code and types excluded)."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType,
+            types.MethodType, types.CodeType)
+    seen, stack, n = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip) or not gc.is_tracked(obj):
+            continue
+        seen.add(id(obj))
+        n += 1
+        stack.extend(gc.get_referents(obj))
+    return n
+
+
+def test_an_rca8_result_holds_few_gc_tracked_objects():
+    # Every tracked object a cached result holds is walked by each gen-2
+    # pause; the array adds none beyond its one digit buffer.
+    res = compile_to_fabric(ripple_carry_netlist(8), seed=0, workers=0)
+    gc.collect()  # untracks atomic tuples, as the first pause would
+    assert _gc_tracked(res) <= 3000

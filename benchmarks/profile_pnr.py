@@ -7,7 +7,8 @@ and derives the two engine throughput numbers the perf work is tracked
 by:
 
 * ``anneal_moves_per_s``  — proposed moves per second through the
-  incremental delta-HPWL annealer (:class:`repro.pnr.place.IncrementalHpwl`);
+  annealer (numpy draws, the C kernel's exact delta-HPWL pricing and
+  commits: :mod:`repro.pnr.kernel`);
 * ``routed_nets_per_s``   — nets per second through the reusable-state
   A* router (:class:`repro.pnr.route.Router`).
 
@@ -114,8 +115,10 @@ def run_pnr_speed() -> dict[str, dict]:
     """The ``microbench.pnr_speed`` table: per-stage seconds + throughput."""
     from repro.datapath.adder import ripple_carry_netlist
     from repro.datapath.multiplier import array_multiplier_netlist
+    from repro.pnr import kernel
     from repro.synth.macros import full_adder_testbench
 
+    kernel.load()  # a first-use kernel build must not land in a timed stage
     fig10, _, _ = full_adder_testbench()
     designs = {
         "fig10_adder_slice": fig10,

@@ -141,8 +141,8 @@ class CellArray:
     The configuration is one ``(rows, cols, 64)`` uint8 matrix of frame
     digits in the :mod:`repro.fabric.bitstream` layout, so a new array is
     one allocation and the serialised forms are copies of it.
-    :meth:`cell` decodes a *copy* of one cell; :meth:`set_cell` is the
-    only way to write one.
+    :meth:`cell` decodes a *copy* of one cell; :meth:`set_cells` is the
+    only writer (:meth:`set_cell` validates one CellConfig and calls it).
     """
 
     def __init__(self, n_rows: int, n_cols: int) -> None:
@@ -175,11 +175,25 @@ class CellArray:
     def set_cell(self, r: int, c: int, config: CellConfig) -> None:
         """Validate ``config`` and encode it into the digits at (r, c).
 
-        The one writer of the array: later edits to ``config`` are not seen.
+        Later edits to ``config`` are not seen.
         """
-        self._check_pos(r, c)
         config.validate()
-        self._digits[r, c] = np.frombuffer(cell_digits(config), dtype=np.uint8)
+        self.set_cells([(r, c)], np.frombuffer(cell_digits(config), dtype=np.uint8))
+
+    def set_cells(self, positions, digits) -> None:
+        """Write whole cells: ``digits[i]`` (64 frame digits) at ``positions[i]``.
+
+        The one writer of the array.  Every position is bounds-checked
+        and every digit range-checked (:func:`check_digits`) over the
+        whole block before anything is written.
+        """
+        pos = np.asarray(positions, dtype=np.intp).reshape(-1, 2)
+        block = np.asarray(digits, dtype=np.uint8).reshape(len(pos), N_CELLS)
+        outside = (pos < 0) | (pos >= (self.n_rows, self.n_cols))
+        if outside.any():
+            self._check_pos(*pos[outside.any(axis=1).argmax()].tolist())
+        check_digits(block)
+        self._digits[pos[:, 0], pos[:, 1]] = block
 
     def _check_pos(self, r: int, c: int) -> None:
         if not (0 <= r < self.n_rows and 0 <= c < self.n_cols):

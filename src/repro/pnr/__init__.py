@@ -9,7 +9,8 @@ components can be used interchangeably for logic and interconnection"
 2. **place** (:mod:`repro.pnr.place`): deterministic ring-scan seeding
    plus simulated annealing over cached incremental delta-HPWL bounding
    boxes, under the fabric's monotone east/north dominance rule —
-   candidates priced in vectorized batches;
+   candidates drawn in numpy batches and priced and committed by a C
+   kernel (:mod:`repro.pnr.kernel`; compiling needs ``cc``);
 3. **route** (:mod:`repro.pnr.route`): A* maze routing on one reusable
    generation-stamped search grid, burning blank cells as
    feed-throughs, with journal-replay rip-up-and-retry (see
@@ -17,8 +18,8 @@ components can be used interchangeably for logic and interconnection"
 4. **timing** (:mod:`repro.pnr.timing`): static timing analysis over
    the routed design — worst slack, critical path, achievable cycle
    time, per-net criticality;
-5. **emit** (:mod:`repro.pnr.emit`): validated ``CellConfig`` frames on
-   a :class:`repro.fabric.array.CellArray`, ready for bitstream
+5. **emit** (:mod:`repro.pnr.emit`): range-checked frame digits on a
+   :class:`repro.fabric.array.CellArray`, ready for bitstream
    serialisation and either simulation backend.
 
 Entry points: :func:`compile_to_fabric` (one call, returns a

@@ -1,13 +1,15 @@
-"""Stage 4 — emission: routing state to concrete cell configurations.
+"""Stage 4 — emission: routing state to configuration digits.
 
-Turns the bookkeeping of :class:`repro.pnr.route.RoutingState` into
-:class:`repro.fabric.nandcell.CellConfig` objects and encodes each, once
-validated, into a :class:`repro.fabric.array.CellArray`'s digit matrix.
-The emitted array is ordinary fabric state: it serialises through
-:mod:`repro.fabric.bitstream`, lowers
-through :meth:`CellArray.to_netlist`, and simulates on either netlist
-backend — nothing downstream knows the configuration came from an
-automatic flow rather than a hand-placed macro.
+Turns the bookkeeping of :class:`repro.pnr.route.RoutingState` into frame
+digits (the :mod:`repro.fabric.bitstream` layout) and installs them on a
+:class:`repro.fabric.array.CellArray` in one checked block write
+(:meth:`CellArray.set_cells`).  No :class:`~repro.fabric.nandcell.CellConfig`
+is built on the way: a cell's 64 digits are filled row by row in a
+``bytearray``.  The emitted array is ordinary fabric state: it serialises
+through :mod:`repro.fabric.bitstream`, lowers through
+:meth:`CellArray.to_netlist`, and simulates on either netlist backend —
+nothing downstream knows the configuration came from an automatic flow
+rather than a hand-placed macro.
 
 Emission rules (all derived from the Fig. 4/5 tables):
 
@@ -25,9 +27,22 @@ Emission rules (all derived from the Fig. 4/5 tables):
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
+
 from repro.fabric.array import CellArray
+from repro.fabric.bitstream import (
+    BLANK_DIGITS,
+    _OFF_DIRECTION,
+    _OFF_DRIVER,
+    _OFF_INSEL,
+    _OFF_PARTNER,
+    _OFF_TAPS,
+)
 from repro.fabric.driver import DriverMode
-from repro.fabric.nandcell import CellConfig, InputSource, LfbPartner
+from repro.fabric.leafcell import LeafState
+from repro.fabric.nandcell import InputSource, LfbPartner, N_INPUTS
 from repro.pnr.route import RoutingState
 from repro.pnr.techmap import (
     CONST_GATE,
@@ -53,22 +68,24 @@ def emit_design(array: CellArray, state: RoutingState) -> dict[str, int]:
     """
     design = state.design
     placement = state.placement
-    configs: dict[tuple[int, int], CellConfig] = {}
+    cells: dict[tuple[int, int], bytearray] = {}
     n_logic = 0
     for gate in design.gates.values():
         in_cell = placement.input_cell(gate)
         out_cell = placement.output_cell(gate)
         out_rows = state.gate_rows.get(out_cell, {})
+        if not out_rows:
+            raise EmitError(f"gate {gate.name!r}: no output row was committed")
         if gate.kind in (PRODUCT_NAND, PRODUCT_AND):
-            configs[in_cell] = _emit_product(state, gate, in_cell, out_rows)
+            cells[in_cell] = _emit_product(state, gate, in_cell, out_rows)
         elif gate.kind == CONST_GATE:
-            configs[in_cell] = _emit_const(gate, out_rows)
+            cells[in_cell] = _emit_const(gate, out_rows)
         elif gate.kind == PAIR_CELEMENT:
-            configs[in_cell], configs[out_cell] = _emit_celement(
+            cells[in_cell], cells[out_cell] = _emit_celement(
                 state, gate, in_cell, out_rows
             )
         elif gate.kind == PAIR_EVENTLATCH:
-            configs[in_cell], configs[out_cell] = _emit_eventlatch(
+            cells[in_cell], cells[out_cell] = _emit_eventlatch(
                 state, gate, in_cell, out_rows
             )
         else:  # pragma: no cover - kinds are closed
@@ -76,22 +93,44 @@ def emit_design(array: CellArray, state: RoutingState) -> dict[str, int]:
         n_logic += gate.width
     n_route = 0
     for cell, rows in state.thru_rows.items():
-        cfg = configs.get(cell)
-        if cfg is None:
-            cfg = CellConfig()
-            configs[cell] = cfg
+        d = cells.get(cell)
+        if d is None:
+            d = cells[cell] = bytearray(BLANK_DIGITS)
             n_route += 1
         for row, (in_col, direction) in rows.items():
-            if cfg.drivers[row] is not DriverMode.OFF:
+            if d[_OFF_DRIVER + row] != DriverMode.OFF:
                 raise EmitError(
                     f"cell {cell}: row {row} claimed by both logic and routing"
                 )
-            cfg.set_product(row, [in_col])
-            cfg.drivers[row] = DriverMode.INVERT  # NAND + INVERT = buffer
-            cfg.directions[row] = direction
-    for (r, c), cfg in configs.items():
-        array.set_cell(r, c, cfg)
+            # NAND + INVERT = buffer.
+            _set_row(d, row, _product((in_col,)), DriverMode.INVERT, direction)
+    array.set_cells(
+        list(cells), np.frombuffer(b"".join(cells.values()), dtype=np.uint8)
+    )
     return {"cells_logic": n_logic, "cells_route": n_route}
+
+
+@lru_cache(maxsize=None)
+def _product(cols: tuple[int, ...]) -> bytes:
+    """One row's crosspoint digits computing the NAND of ``cols``: the
+    active columns ACTIVE, every other column FORCE_ON (tied high)."""
+    if not cols or not all(0 <= c < N_INPUTS for c in cols):
+        raise EmitError(f"a product row needs columns in 0..5, got {cols}")
+    return bytes(
+        LeafState.ACTIVE if c in cols else LeafState.FORCE_ON
+        for c in range(N_INPUTS)
+    )
+
+
+#: A constant-1 row: every crosspoint FORCE_OFF breaks the pull-down.
+_CONST1 = bytes([LeafState.FORCE_OFF] * N_INPUTS)
+
+
+def _set_row(d: bytearray, row: int, xpoints: bytes, mode, direction=0) -> None:
+    """Write one row's crosspoints, driver mode and output direction."""
+    d[row * N_INPUTS:(row + 1) * N_INPUTS] = xpoints
+    d[_OFF_DRIVER + row] = mode
+    d[_OFF_DIRECTION + row] = direction
 
 
 def _input_columns(state: RoutingState, gate: MappedGate, in_cell) -> list[int]:
@@ -112,73 +151,52 @@ def _input_columns(state: RoutingState, gate: MappedGate, in_cell) -> list[int]:
     return cols
 
 
-def _emit_product(state, gate: MappedGate, in_cell, out_rows) -> CellConfig:
-    cols = sorted(set(_input_columns(state, gate, in_cell)))
-    if not out_rows:
-        raise EmitError(f"gate {gate.name!r}: no output row was committed")
-    cfg = CellConfig()
+def _emit_product(state, gate: MappedGate, in_cell, out_rows) -> bytearray:
+    xpoints = _product(tuple(sorted(set(_input_columns(state, gate, in_cell)))))
     mode = DriverMode.BUFFER if gate.kind == PRODUCT_NAND else DriverMode.INVERT
+    d = bytearray(BLANK_DIGITS)
     for row, direction in out_rows.items():
-        cfg.set_product(row, cols)
-        cfg.drivers[row] = mode
-        cfg.directions[row] = direction
-    return cfg
+        _set_row(d, row, xpoints, mode, direction)
+    return d
 
 
-def _emit_const(gate: MappedGate, out_rows) -> CellConfig:
-    if not out_rows:
-        raise EmitError(f"gate {gate.name!r}: no output row was committed")
-    cfg = CellConfig()
+def _emit_const(gate: MappedGate, out_rows) -> bytearray:
+    # The row reads 1; the driver sets the polarity.
     mode = DriverMode.BUFFER if gate.value == 1 else DriverMode.INVERT
+    d = bytearray(BLANK_DIGITS)
     for row, direction in out_rows.items():
-        cfg.set_constant(row, 1)  # the row reads 1; the driver sets polarity
-        cfg.drivers[row] = mode
-        cfg.directions[row] = direction
-    return cfg
+        _set_row(d, row, _CONST1, mode, direction)
+    return d
 
 
-def _pair_outputs(gate: MappedGate, cfg: CellConfig, out_rows) -> CellConfig:
-    """Replicate the collector row onto every fan-out row of cell B."""
-    if not out_rows:
-        raise EmitError(f"gate {gate.name!r}: no output row was committed")
+def _pair(products, collector: tuple[int, ...], out_rows):
+    """A stateful pair's cells: A computes ``products`` (column 5 reads
+    the collector's lfb tap), B's row 0 collects them and is replicated
+    onto every fan-out row."""
+    a = bytearray(BLANK_DIGITS)
+    a[_OFF_PARTNER] = LfbPartner.EAST
+    a[_OFF_INSEL + 5] = InputSource.LFB0
+    for row, cols in enumerate(products):
+        _set_row(a, row, _product(tuple(sorted(set(cols)))), DriverMode.BUFFER)
+    b = bytearray(BLANK_DIGITS)
+    b[0:N_INPUTS] = _product(collector)
+    b[_OFF_TAPS:_OFF_TAPS + 2] = b"\0\0"  # lfb tap 0 reads row 0
     for row, direction in out_rows.items():
-        if row != 0:
-            cfg.crosspoints[row] = list(cfg.crosspoints[0])
-        cfg.drivers[row] = DriverMode.BUFFER
-        cfg.directions[row] = direction
-    return cfg
+        _set_row(b, row, b[0:N_INPUTS], DriverMode.BUFFER, direction)
+    return a, b
 
 
 def _emit_celement(state, gate: MappedGate, in_cell, out_rows):
     """c = a.b + a.c + b.c, optionally gated by the reset literal."""
     cols = _input_columns(state, gate, in_cell)  # a, b[, rst_n] at 0, 1[, 2]
-    has_reset = len(gate.inputs) == 3
+    extra = cols[2:3]
     a_col, b_col = cols[0], cols[1]
-    extra = [cols[2]] if has_reset else []
-    a = CellConfig()
-    a.lfb_partner = LfbPartner.EAST
-    a.input_select[5] = InputSource.LFB0  # c, from the collector's tap
-    for row, product in enumerate(([a_col, b_col], [a_col, 5], [b_col, 5])):
-        a.set_product(row, sorted(set(product + extra)))
-        a.drivers[row] = DriverMode.BUFFER
-    b = CellConfig()
-    b.set_product(0, [0, 1, 2])
-    b.lfb_taps[0] = 0
-    return a, _pair_outputs(gate, b, out_rows)
+    products = ([a_col, b_col], [a_col, 5], [b_col, 5])
+    return _pair([p + extra for p in products], (0, 1, 2), out_rows)
 
 
 def _emit_eventlatch(state, gate: MappedGate, in_cell, out_rows):
     """z = R.A.D + R'.A'.D + R.A'.z + R'.A.z + D.z (paper Fig. 12)."""
     d, r, rn, k, kn = _input_columns(state, gate, in_cell)
-    a = CellConfig()
-    a.lfb_partner = LfbPartner.EAST
-    a.input_select[5] = InputSource.LFB0  # z, from the collector's tap
-    for row, product in enumerate(
-        ([r, k, d], [rn, kn, d], [r, kn, 5], [rn, k, 5], [d, 5])
-    ):
-        a.set_product(row, sorted(set(product)))
-        a.drivers[row] = DriverMode.BUFFER
-    b = CellConfig()
-    b.set_product(0, [0, 1, 2, 3, 4])
-    b.lfb_taps[0] = 0
-    return a, _pair_outputs(gate, b, out_rows)
+    products = ([r, k, d], [rn, kn, d], [r, kn, 5], [rn, k, 5], [d, 5])
+    return _pair(products, (0, 1, 2, 3, 4), out_rows)

@@ -23,8 +23,9 @@ Two phases, in the spirit of the annealing placers in Kuree/cgra_pnr:
   legal by construction and the best state seen wins.  Move costs come
   from :class:`IncrementalHpwl` — a VPR-style cached per-net bounding
   box updated in O(pins of the moved gate) with *exact* deltas, so the
-  accept/reject trajectory for a seed is identical to a full recompute
-  (see ``docs/performance.md``).
+  accept/reject trajectory for a seed is identical to a full recompute;
+  each rung's windows, pricing and commits run in the C kernel of
+  :mod:`repro.pnr.kernel` (see ``docs/performance.md``).
 
 Both operate inside a :class:`repro.fabric.floorplan.Region`, so a design
 can be compiled into a carved-out module slot of a shared array.
@@ -32,12 +33,14 @@ can be compiled into a carved-out module slot of a shared array.
 
 from __future__ import annotations
 
+import ctypes
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.fabric.floorplan import Region
+from repro.pnr import kernel
 from repro.pnr.parallel import checkpoint
 from repro.pnr.techmap import MappedDesign, MappedGate
 
@@ -80,7 +83,14 @@ def gate_levels(design: MappedDesign) -> dict[str, int]:
     edge would need a strictly-later grid position than the last).  The
     fabric hosts feedback *inside* a cell pair (the lfb lines the
     stateful macros use), not across the routed grid.
+
+    Computed once per design (:meth:`MappedDesign.memo`); each call
+    returns a fresh copy.
     """
+    return dict(design.memo("levels", _levels))
+
+
+def _levels(design: MappedDesign) -> dict[str, int]:
     preds: dict[str, set[str]] = {name: set() for name in design.gates}
     succs: dict[str, list[str]] = {name: [] for name in design.gates}
     for g in design.gates.values():
@@ -147,11 +157,12 @@ def dominance_violations(design: MappedDesign, placement: Placement) -> int:
 
 def net_hpwl(design: MappedDesign, placement: Placement, net: str) -> int:
     """Half-perimeter of one net's bounding box (source + sinks)."""
-    sinks = design.sinks_of.get(net, [])
-    pts = [placement.input_cell(design.gates[g]) for g, _ in sinks]
+    pos = placement.positions
+    pts = [pos[g] for g, _ in design.sinks_of.get(net, ())]
     src = design.source_of.get(net)
     if src is not None:
-        pts.append(placement.output_cell(design.gates[src]))
+        r, c = pos[src]
+        pts.append((r, c + design.gates[src].width - 1))
     if len(pts) < 2:
         return 0
     rs = [p[0] for p in pts]
@@ -636,253 +647,77 @@ class IncrementalHpwl:
         return delta
 
 
-@dataclass
-class BatchEval:
-    """A priced batch of candidate moves, ready to commit selectively.
-
-    Produced by :meth:`BatchMoveEvaluator.propose_batch`.  ``deltas[j]``
-    is the exact HPWL delta of candidate ``j`` against the
-    state the batch was priced on; :meth:`nets_of` lists the nets that
-    pricing read, which is what conflict screening needs: a candidate
-    stays commit-safe for as long as none of those nets has been
-    touched by an earlier commit from the same batch.
-    """
-
-    gis: np.ndarray
-    trs: np.ndarray
-    tcs: np.ndarray
-    deltas: np.ndarray
-    #: Entry-slice bounds per candidate into ``ent_net`` / ``new_boxes``.
-    bounds: np.ndarray
-    ent_net: np.ndarray
-    #: Fast-path replacement bbox rows, one per entry.
-    new_boxes: np.ndarray
-    #: Candidates priced through :meth:`IncrementalHpwl.propose`:
-    #: j -> propose updates.
-    slow: dict[int, list]
-
-    def nets_of(self, j: int) -> np.ndarray:
-        """Net ids candidate ``j``'s pricing depends on."""
-        return self.ent_net[self.bounds[j]:self.bounds[j + 1]]
-
-
 class BatchMoveEvaluator:
-    """Vectorized pricing of K single-gate moves against one cache state.
+    """Exact pricing of K single-gate moves against one cache state, in C.
 
-    The numpy companion to :class:`IncrementalHpwl`: candidate moves
-    arrive as arrays ``(gis, trs, tcs)`` and all K exact deltas come
-    back from one vectorized pass over the cached bbox/edge-count rows.
-    The per-pin fast path mirrors :meth:`IncrementalHpwl._bbox_after`
-    arithmetic exactly — remove the old pin from the edge counts, slide
-    the edge if the new pin extends it.  The cases
-    :meth:`IncrementalHpwl.propose` rescans (a move vacating a bounding
-    edge whose pin count hits zero) are rescanned here too, but
-    vectorized: a per-net pin CSR and segmented ``reduceat`` reductions
-    recompute exactly the boxes :meth:`IncrementalHpwl._scan` would.
-    Only gates reading one net through several pins (``nand(a, a)``
-    style — the one-pin update does not compose) fall back to
-    :meth:`IncrementalHpwl.propose` itself.  Deltas are bit-equal to
-    one-move pricing, which is what keeps the annealer's
-    ``cache == scratch`` invariant intact under batching.
+    The compiled companion to :class:`IncrementalHpwl`: candidate moves
+    arrive as arrays ``(gis, trs, tcs)`` and the kernel's ``price`` pass
+    (``_anneal.c``) runs :meth:`IncrementalHpwl.propose` on each — the
+    per-pin edge-count update, the rescan when a move empties a bounding
+    edge, and gates reading one net through several pins (``nand(a, a)``
+    style) alike.  Deltas are bit-equal to one-move pricing, which is
+    what keeps the annealer's ``cache == scratch`` invariant intact.  The
+    kernel reads and writes ``cost``'s arrays in place.
     """
 
     def __init__(self, cost: IncrementalHpwl) -> None:
         self.cost = cost
-        n = len(cost.names)
-        ptr = [0]
-        ent_net: list[int] = []
-        ent_off: list[int] = []
-        slow = np.zeros(n, dtype=bool)
-        for gi in range(n):
-            for k, offs in cost.gate_nets[gi]:
-                if len(offs) > 1:
-                    # One net read through several pins of the same
-                    # gate: the one-pin edge-count update below does
-                    # not compose, price such gates one move at a time
-                    # (they are rare — nand(a, a) style).
-                    slow[gi] = True
-                for off in offs:
-                    ent_net.append(k)
-                    ent_off.append(off)
-            ptr.append(len(ent_net))
-        self.ent_ptr = np.asarray(ptr, dtype=np.int64)
-        self.ent_net = np.asarray(ent_net, dtype=np.int64)
-        self.ent_off = np.asarray(ent_off, dtype=np.int64)
-        self.slow_gate = slow
-        self.net_npins = np.asarray(
-            [len(p) for p in cost.net_pins], dtype=np.int64
-        )
-        # Flat per-net pin lists for the vectorized rescan.
-        pin_ptr = [0]
-        pin_gate: list[int] = []
-        pin_off: list[int] = []
+        self.lib = kernel.load()
+        grp_ptr, grp_net, off_ptr, off = [0], [], [0], []
+        for nets in cost.gate_nets:
+            for k, offs in nets:
+                grp_net.append(k)
+                off.extend(offs)
+                off_ptr.append(len(off))
+            grp_ptr.append(len(grp_net))
+        pin_ptr, pin_gate, pin_off = [0], [], []
         for plist in cost.net_pins:
-            for gi, off in plist:
+            for gi, o in plist:
                 pin_gate.append(gi)
-                pin_off.append(off)
+                pin_off.append(o)
             pin_ptr.append(len(pin_gate))
-        self.pin_ptr = np.asarray(pin_ptr, dtype=np.int64)
-        self.pin_gate = np.asarray(pin_gate, dtype=np.int64)
-        self.pin_off = np.asarray(pin_off, dtype=np.int64)
+        #: Most nets any one gate touches: entries per priced candidate.
+        self.max_nets = max(map(len, cost.gate_nets), default=0)
+        i64 = np.int64
+        self.hpwl = kernel.bind(
+            kernel.Hpwl, rows=cost.rows, cols=cost.cols, boxes=cost._boxes,
+            grp_ptr=np.asarray(grp_ptr, i64), grp_net=np.asarray(grp_net, i64),
+            off_ptr=np.asarray(off_ptr, i64), off=np.asarray(off, i64),
+            pin_ptr=np.asarray(pin_ptr, i64), pin_gate=np.asarray(pin_gate, i64),
+            pin_off=np.asarray(pin_off, i64),
+        )
+        self.h = ctypes.addressof(self.hpwl)
+
+    def rung(self, k: int, **fields):
+        """Kernel buffers for pricing up to ``k`` candidates, plus
+        ``fields`` (the annealer's window and commit state)."""
+        e = k * self.max_nets
+        return kernel.bind(
+            kernel.Rung,
+            pick=np.zeros(k, np.int64), trs=np.zeros(k, np.int64),
+            tcs=np.zeros(k, np.int64), idx=np.arange(k, dtype=np.int64),
+            deltas=np.zeros(k), ebeg=np.zeros(k + 1, np.int64),
+            ent_net=np.zeros(e, np.int64), nb=np.zeros(8 * e, np.int64),
+            **fields,
+        )
 
     def propose_batch(
         self, gis: np.ndarray, trs: np.ndarray, tcs: np.ndarray
-    ) -> tuple[np.ndarray, BatchEval]:
+    ) -> np.ndarray:
         """Exact deltas for K hypothetical moves; commits nothing.
 
         All candidates are priced against the *current* cache state,
-        independently of each other — the caller decides which subset
-        to commit (and in what order) via :meth:`commit`.
+        independently of each other.  Targets may be any cells; gate
+        indices must be in range (the kernel indexes with them).
         """
-        cost = self.cost
-        gis = np.asarray(gis, dtype=np.int64)
-        trs = np.asarray(trs, dtype=np.int64)
-        tcs = np.asarray(tcs, dtype=np.int64)
-        kk = len(gis)
-        starts = self.ent_ptr[gis]
-        counts = self.ent_ptr[gis + 1] - starts
-        bounds = np.zeros(kk + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        total = int(bounds[-1])
-        reps = np.repeat(np.arange(kk, dtype=np.int64), counts)
-        eidx = starts[reps] + (np.arange(total, dtype=np.int64) - bounds[reps])
-        ks = self.ent_net[eidx]
-        off = self.ent_off[eidx]
-        g = gis[reps]
-        old_r = cost.rows[g].astype(np.int64)
-        old_c = cost.cols[g].astype(np.int64) + off
-        new_r = trs[reps]
-        new_c = tcs[reps] + off
-
-        boxes = cost._boxes[ks]
-        rmin, rmax = boxes[:, 0], boxes[:, 1]
-        cmin, cmax = boxes[:, 2], boxes[:, 3]
-        nrmin, nrmax = boxes[:, 4], boxes[:, 5]
-        ncmin, ncmax = boxes[:, 6], boxes[:, 7]
-        single = self.net_npins[ks] <= 1
-
-        def lo_edge(old, new, edge, n_on_edge):
-            on = old == edge
-            rest = n_on_edge - on
-            rescan = on & (rest == 0) & (new > edge)
-            return (
-                np.minimum(edge, new),
-                np.where(new < edge, 1, np.where(new == edge, rest + 1, rest)),
-                rescan,
-            )
-
-        def hi_edge(old, new, edge, n_on_edge):
-            on = old == edge
-            rest = n_on_edge - on
-            rescan = on & (rest == 0) & (new < edge)
-            return (
-                np.maximum(edge, new),
-                np.where(new > edge, 1, np.where(new == edge, rest + 1, rest)),
-                rescan,
-            )
-
-        n_rmin, c_rmin, s0 = lo_edge(old_r, new_r, rmin, nrmin)
-        n_rmax, c_rmax, s1 = hi_edge(old_r, new_r, rmax, nrmax)
-        n_cmin, c_cmin, s2 = lo_edge(old_c, new_c, cmin, ncmin)
-        n_cmax, c_cmax, s3 = hi_edge(old_c, new_c, cmax, ncmax)
-        rescan = (s0 | s1 | s2 | s3) & ~single
-        # A net whose only pin is the moved one needs no rescan: its
-        # box collapses onto the new point and its hpwl stays zero.
-        np.copyto(n_rmin, new_r, where=single)
-        np.copyto(n_rmax, new_r, where=single)
-        np.copyto(n_cmin, new_c, where=single)
-        np.copyto(n_cmax, new_c, where=single)
-        for counts_arr in (c_rmin, c_rmax, c_cmin, c_cmax):
-            np.copyto(counts_arr, 1, where=single)
-
-        re = np.nonzero(rescan)[0]
-        if len(re):
-            # Entries that vacated a bounding edge: recompute their
-            # nets' boxes from scratch, vectorized over all pins of all
-            # rescanned nets at once — the segmented twin of
-            # :meth:`IncrementalHpwl._scan`.  (Small 2-3 pin nets leave
-            # a lone pin on an edge often, so keeping the rescan
-            # vectorized is what makes the batch pass pay.)
-            k_re = ks[re]
-            g_re = g[re]
-            nr_re = new_r[re]
-            tc_re = tcs[reps[re]]
-            np_re = self.net_npins[k_re]
-            b2 = np.zeros(len(re) + 1, dtype=np.int64)
-            np.cumsum(np_re, out=b2[1:])
-            reps2 = np.repeat(np.arange(len(re), dtype=np.int64), np_re)
-            pidx = self.pin_ptr[k_re][reps2] + (
-                np.arange(int(b2[-1]), dtype=np.int64) - b2[reps2]
-            )
-            pg = self.pin_gate[pidx]
-            po = self.pin_off[pidx]
-            moved = pg == g_re[reps2]
-            pr = np.where(moved, nr_re[reps2], cost.rows[pg])
-            pc = np.where(moved, tc_re[reps2], cost.cols[pg]) + po
-            starts = b2[:-1]
-            r_lo = np.minimum.reduceat(pr, starts)
-            r_hi = np.maximum.reduceat(pr, starts)
-            c_lo = np.minimum.reduceat(pc, starts)
-            c_hi = np.maximum.reduceat(pc, starts)
-            n_rmin[re] = r_lo
-            n_rmax[re] = r_hi
-            n_cmin[re] = c_lo
-            n_cmax[re] = c_hi
-            c_rmin[re] = np.add.reduceat(
-                (pr == r_lo[reps2]).astype(np.int64), starts
-            )
-            c_rmax[re] = np.add.reduceat(
-                (pr == r_hi[reps2]).astype(np.int64), starts
-            )
-            c_cmin[re] = np.add.reduceat(
-                (pc == c_lo[reps2]).astype(np.int64), starts
-            )
-            c_cmax[re] = np.add.reduceat(
-                (pc == c_hi[reps2]).astype(np.int64), starts
-            )
-
-        span_delta = ((n_rmax - n_rmin) + (n_cmax - n_cmin)) - (
-            (rmax - rmin) + (cmax - cmin)
-        )
-        deltas = np.bincount(reps, weights=span_delta, minlength=kk)
-
-        new_boxes = np.empty((total, 8), dtype=np.int64)
-        for col, arr in enumerate(
-            (n_rmin, n_rmax, n_cmin, n_cmax, c_rmin, c_rmax, c_cmin, c_cmax)
-        ):
-            new_boxes[:, col] = arr
-
-        slow_c = self.slow_gate[gis]
-        slow: dict[int, list] = {}
-        for j in np.nonzero(slow_c)[0]:
-            d, ups = cost.propose(int(gis[j]), int(trs[j]), int(tcs[j]))
-            deltas[j] = d
-            slow[int(j)] = ups
-        return deltas, BatchEval(
-            gis=gis, trs=trs, tcs=tcs, deltas=deltas, bounds=bounds,
-            ent_net=ks, new_boxes=new_boxes, slow=slow,
-        )
-
-    def commit(self, batch: BatchEval, j: int) -> None:
-        """Apply candidate ``j`` through the exact cache update.
-
-        Only valid while none of ``batch.nets_of(j)`` has been touched
-        since the batch was priced (the annealer's conflict screen
-        guarantees exactly that), so the precomputed boxes and delta
-        still describe the live state.
-        """
-        cost = self.cost
-        gi = int(batch.gis[j])
-        tr, tc = int(batch.trs[j]), int(batch.tcs[j])
-        ups = batch.slow.get(j)
-        if ups is not None:
-            cost.commit(gi, tr, tc, float(batch.deltas[j]), ups)
-            return
-        e0, e1 = int(batch.bounds[j]), int(batch.bounds[j + 1])
-        cost._boxes[batch.ent_net[e0:e1]] = batch.new_boxes[e0:e1]
-        cost.rows[gi] = tr
-        cost.cols[gi] = tc
-        cost.total += float(batch.deltas[j])
+        k = len(gis)
+        if k and not 0 <= min(gis) <= max(gis) < len(self.cost.names):
+            raise IndexError(f"gate index out of range 0..{len(self.cost.names) - 1}")
+        w = self.rung(k)
+        for name, arr in (("pick", gis), ("trs", trs), ("tcs", tcs)):
+            np.copyto(w.arrays[name], arr)
+        self.lib.price(self.h, ctypes.addressof(w), k)
+        return w.arrays["deltas"]
 
 
 def default_anneal_steps(n_gates: int) -> int:
@@ -904,12 +739,12 @@ def anneal_temperatures(
     return temps
 
 
-#: Candidate moves priced per vectorized batch when the caller does not
+#: Candidate moves drawn and priced per rung when the caller does not
 #: choose.  Each batch shares one temperature, so the ladder has
 #: ``ceil(steps / batch_moves)`` rungs (floored at
 #: :data:`MIN_ANNEAL_RUNGS` when ``steps`` is defaulted); larger
-#: batches amortize the numpy pass better but drift further from
-#: move-by-move annealing.
+#: batches amortize the per-rung overhead better but drift further
+#: from move-by-move annealing.
 DEFAULT_BATCH_MOVES = 768
 
 #: Minimum temperature rungs for a default-budget batched anneal.  A
@@ -931,27 +766,25 @@ MAX_BUDGET_BOOST = 8
 #: Gates per unit of default-budget boost (see :data:`MAX_BUDGET_BOOST`).
 GATES_PER_BOOST = 15
 
-#: Smallest batch the default path shrinks to.  Below this the numpy
-#: pass stops amortizing its per-batch overhead.
+#: Smallest batch the default path shrinks to.  Below this a rung
+#: stops amortizing its fixed overhead (the numpy draws and calls).
 MIN_BATCH_MOVES = 64
 
 
-def _pad_indices(lists: list[list[int]], sentinel: int) -> np.ndarray:
-    """Ragged index lists as one padded matrix (``sentinel`` fills)."""
-    width = max((len(xs) for xs in lists), default=0)
-    mat = np.full((len(lists), width), sentinel, dtype=np.int64)
-    for i, xs in enumerate(lists):
-        mat[i, :len(xs)] = xs
-    return mat
+def _csr(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged index lists as (row pointers, flat values)."""
+    ptr = np.zeros(len(lists) + 1, dtype=np.int64)
+    np.cumsum([len(xs) for xs in lists], out=ptr[1:])
+    return ptr, np.asarray([x for xs in lists for x in xs], dtype=np.int64)
 
 
 class _AnnealContext:
     """The annealer's working state (cache, occupancy, windows).
 
     Everything :func:`anneal_placement` needs: the exact
-    :class:`IncrementalHpwl` cache, the occupancy grid, padded
-    fan-in/fan-out matrices for vectorized dominance windows, and
-    best-state tracking.
+    :class:`IncrementalHpwl` cache, the occupancy grid, fan-in/fan-out
+    lists for the dominance windows, best-state tracking, and the
+    kernel buffers one rung fills.
     """
 
     def __init__(
@@ -971,10 +804,9 @@ class _AnnealContext:
             -1, dtype=np.int32,
         )
         # Dead sites (defect maps) are marked with a -2 sentinel: the
-        # draw() validity mask and the commit screen both accept only
-        # empty (-1) or self-occupied targets, so every move onto a
-        # blocked cell is rejected for free — no extra mask lookups on
-        # the hot path.
+        # screen and the commit both accept only empty (-1) or
+        # self-occupied targets, so every move onto a blocked cell is
+        # rejected for free.
         if blocked:
             nr, nc = self.occupied.shape
             for br, bc in blocked:
@@ -994,70 +826,14 @@ class _AnnealContext:
                     si = cost.index[src]
                     fanins[gi].append(si)
                     fanouts[si].append(gi)
-        n = len(names)
         # Only 1-wide gates move (pair macros stay where the seed
         # spread them — compacting them trades HPWL for congestion).
         self.movable = np.nonzero(widths == 1)[0].astype(np.int64)
-        self.fi = _pad_indices(fanins, n)
-        self.fo = _pad_indices(fanouts, n)
+        self.fanins = _csr(fanins)
+        self.fanouts = _csr(fanouts)
         self.evaluator = BatchMoveEvaluator(cost)
-        self.row_lo, self.col_lo = region.row, region.col
-        self.row_hi = region.row + region.n_rows - 1
-        self.col_hi = region.col + region.n_cols - 1
         self.best_rows = rows.copy()
         self.best_cols = cols.copy()
-        self.best_total = cost.total
-        self._touched = [0] * len(cost.net_names)
-        self._batch_id = 0
-        # Scratch for the window gathers: positions extended by one
-        # sentinel slot (index n) the padded fan-in/fan-out matrices
-        # point at; refreshed per batch, never reallocated.
-        big = 1 << 30
-        self._rows_max = np.full(n + 1, -1, dtype=np.int64)
-        self._ocol_max = np.full(n + 1, -1, dtype=np.int64)
-        self._rows_min = np.full(n + 1, big, dtype=np.int64)
-        self._cols_min = np.full(n + 1, big, dtype=np.int64)
-        self._w1 = (widths - 1).astype(np.int64)
-
-    def draw(
-        self, gen: np.random.Generator, k: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """K candidate (gate, target) pairs plus their validity mask.
-
-        Dominance windows are computed vectorized from the padded
-        fan-in/fan-out matrices: the window floor is the max over
-        fan-in output cells, the ceiling the min over fan-out input
-        cells (sentinel rows fall back to the region bounds).  Exactly
-        ``k`` gate draws, ``2k`` target draws are consumed whatever the
-        masks say, so the rng stream is data-independent.
-        """
-        cost = self.cost
-        rows, cols = cost.rows, cost.cols
-        pick = self.movable[gen.integers(0, len(self.movable), k)]
-        big = 1 << 30
-        n = len(rows)
-        rows_max = self._rows_max
-        ocol_max = self._ocol_max
-        rows_min = self._rows_min
-        cols_min = self._cols_min
-        rows_max[:n] = rows
-        rows_min[:n] = rows
-        cols_min[:n] = cols
-        ocol_max[:n] = cols
-        ocol_max[:n] += self._w1
-        fi = self.fi[pick]
-        fo = self.fo[pick]
-        lo_r = np.maximum(self.row_lo, rows_max[fi].max(axis=1, initial=-1))
-        lo_c = np.maximum(self.col_lo, ocol_max[fi].max(axis=1, initial=-1))
-        hi_r = np.minimum(self.row_hi, rows_min[fo].min(axis=1, initial=big))
-        hi_c = np.minimum(self.col_hi, cols_min[fo].min(axis=1, initial=big))
-        valid = (lo_r <= hi_r) & (lo_c <= hi_c)
-        trs = gen.integers(lo_r, np.maximum(lo_r, hi_r) + 1)
-        tcs = gen.integers(lo_c, np.maximum(lo_c, hi_c) + 1)
-        valid &= (trs != rows[pick]) | (tcs != cols[pick])
-        occ = self.occupied[trs, tcs]
-        valid &= (occ == -1) | (occ == pick)
-        return pick, trs, tcs, valid
 
     def run_batches(
         self,
@@ -1068,104 +844,75 @@ class _AnnealContext:
     ) -> dict[str, int]:
         """Anneal one batch of ``batch_moves`` candidates per rung.
 
-        Every batch prices its candidates in one vectorized pass, then
-        Metropolis-accepts greedily in draw order under a conflict
-        screen: a candidate is skipped when any net its pricing read
-        was touched by an earlier commit of the same batch (which also
-        covers stale dominance windows — a moved fan-in/fan-out always
-        shares a net with the gate), or when its target cell was
-        claimed meanwhile.  Commits go through the exact cache update,
-        so ``cost.total`` tracks a from-scratch recompute bit-for-bit.
+        numpy draws every rung's gates, targets (inside the windows the
+        kernel computed) and uniforms, in a fixed, data-independent
+        order, and applies the Metropolis test; the kernel screens and
+        prices the candidates, then commits the accepted ones greedily
+        in draw order under a conflict screen: a candidate is skipped
+        when any net its pricing read was touched by an earlier commit
+        of the same rung (which also covers stale dominance windows — a
+        moved fan-in/fan-out always shares a net with the gate), or when
+        its target cell was claimed meanwhile.  Commits apply the exact
+        cache update, so ``cost.total`` tracks a from-scratch recompute
+        bit-for-bit.
         """
-        evaluated = accepted = 0
+        k = batch_moves
+        accepted = 0
         if not len(self.movable):
             return {"evaluated": 0, "accepted": 0, "batches": 0}
-        cost = self.cost
-        evaluator = self.evaluator
-        occupied = self.occupied
-        rows, cols = cost.rows, cost.cols
-        names = cost.names
-        touched = self._touched
-        for temp in temps:
+        cost, ev, lib = self.cost, self.evaluator, self.evaluator.lib
+        region = self.region
+        total = np.array([cost.total, cost.total])
+        w = ev.rung(
+            k,
+            lo_r=np.zeros(k, np.int64), hi_r1=np.zeros(k, np.int64),
+            lo_c=np.zeros(k, np.int64), hi_c1=np.zeros(k, np.int64),
+            ok=np.zeros(k, np.uint8), widths=cost.widths,
+            fi_ptr=self.fanins[0], fi=self.fanins[1],
+            fo_ptr=self.fanouts[0], fo=self.fanouts[1],
+            row_lo=region.row, row_hi=region.row + region.n_rows - 1,
+            col_lo=region.col, col_hi=region.col + region.n_cols - 1,
+            occupied=self.occupied, occ_cols=self.occupied.shape[1],
+            accept=np.zeros(k, np.uint8),
+            touched=np.zeros(len(cost.net_names), np.int64),
+            committed=np.zeros(k, np.int64), total=total,
+            best_rows=self.best_rows, best_cols=self.best_cols,
+            n_gates=len(cost.names),
+        )
+        a = w.arrays
+        pick, trs, tcs, idx = a["pick"], a["trs"], a["tcs"], a["idx"]
+        lo_r, hi_r1, lo_c, hi_c1 = a["lo_r"], a["hi_r1"], a["lo_c"], a["hi_c1"]
+        deltas, accept = a["deltas"], a["accept"].view(bool)
+        h, wp = ev.h, ctypes.addressof(w)
+        movable, n_mov = self.movable, len(self.movable)
+        for rung, temp in enumerate(temps, 1):
             # Cooperative cancellation: a service deadline cancels
             # between temperature rungs (one batch is bounded work).
             checkpoint()
-            self._batch_id += 1
-            bid = self._batch_id
-            pick, trs, tcs, valid = self.draw(gen, batch_moves)
-            u = gen.random(batch_moves)
-            evaluated += batch_moves
-            idx = np.nonzero(valid)[0]
-            if not len(idx):
+            np.take(movable, gen.integers(0, n_mov, k), out=pick)
+            lib.windows(h, wp, k)
+            np.copyto(trs, gen.integers(lo_r, hi_r1))
+            np.copyto(tcs, gen.integers(lo_c, hi_c1))
+            u = gen.random(k)
+            n = lib.screen(h, wp, k)
+            if not n:
                 continue
-            deltas, batch = evaluator.propose_batch(
-                pick[idx], trs[idx], tcs[idx]
-            )
-            bar = np.exp(-np.maximum(deltas, 0.0) / max(temp, 1e-9))
-            accept = (deltas <= 0.0) | (u[idx] < bar)
-            acc_idx = np.nonzero(accept)[0]
-            if not len(acc_idx):
-                continue
-            # The accept/commit pass is scalar by nature; python-list
-            # views of the batch arrays keep it off numpy's per-element
-            # overhead.  Committed candidates touch pairwise-disjoint
-            # nets (the conflict screen guarantees it), so their cache
-            # writes commute — they are collected and applied in one
-            # vectorized scatter at the end of the rung, with only the
-            # occupancy grid and the running total updated in-loop.
-            gis_l = batch.gis.tolist()
-            trs_l = batch.trs.tolist()
-            tcs_l = batch.tcs.tolist()
-            bounds_l = batch.bounds.tolist()
-            ents_l = batch.ent_net.tolist()
-            deltas_l = batch.deltas.tolist()
-            slow = batch.slow
-            moved_g: list[int] = []
-            moved_r: list[int] = []
-            moved_c: list[int] = []
-            moved_e: list[int] = []
-            for j in acc_idx.tolist():
-                e0, e1 = bounds_l[j], bounds_l[j + 1]
-                nets = ents_l[e0:e1]
-                clean = True
-                for k in nets:
-                    if touched[k] == bid:
-                        clean = False
-                        break
-                if not clean:
-                    continue
-                gi = gis_l[j]
-                tr, tc = trs_l[j], tcs_l[j]
-                o = occupied[tr, tc]
-                if o != -1 and o != gi:
-                    continue
-                occupied[rows[gi], cols[gi]] = -1
-                occupied[tr, tc] = gi
-                ups = slow.get(j)
-                if ups is not None:
-                    cost.commit(gi, tr, tc, deltas_l[j], ups)
-                else:
-                    moved_g.append(gi)
-                    moved_r.append(tr)
-                    moved_c.append(tc)
-                    moved_e.extend(range(e0, e1))
-                    cost.total += deltas_l[j]
-                for k in nets:
-                    touched[k] = bid
-                accepted += 1
-                if move_log is not None:
-                    move_log.append((names[gi], (tr, tc), deltas_l[j]))
-            if moved_g:
-                rows[moved_g] = moved_r
-                cols[moved_g] = moved_c
-                sel = np.asarray(moved_e, dtype=np.int64)
-                cost._boxes[batch.ent_net[sel]] = batch.new_boxes[sel]
-            if cost.total < self.best_total:
-                self.best_total = cost.total
-                self.best_rows = rows.copy()
-                self.best_cols = cols.copy()
+            lib.price(h, wp, n)
+            d = deltas[:n]
+            bar = np.exp(-np.maximum(d, 0.0) / max(temp, 1e-9))
+            np.logical_or(d <= 0.0, u[idx[:n]] < bar, out=accept[:n])
+            done = lib.commit(h, wp, n, rung)
+            accepted += done
+            if move_log is not None and done:
+                for j in a["committed"][:done].tolist():
+                    c = int(idx[j])
+                    move_log.append((
+                        cost.names[pick[c]], (int(trs[c]), int(tcs[c])),
+                        float(d[j]),
+                    ))
+        cost.total = float(total[0])
         return {
-            "evaluated": evaluated,
+            "evaluated": k * len(temps),
             "accepted": accepted,
             "batches": len(temps),
         }
@@ -1203,23 +950,30 @@ def anneal_placement(
     cached :class:`IncrementalHpwl` bounding boxes — exact, so the
     trajectory for a seed is identical to a full recompute.
 
-    Candidates are priced ``batch_moves`` at a time through the
-    vectorized :class:`BatchMoveEvaluator` — one temperature rung per
-    batch, Metropolis acceptance applied greedily in draw order under a
-    conflict screen (see :meth:`_AnnealContext.run_batches`).
+    Candidates are drawn and priced ``batch_moves`` at a time — one
+    temperature rung per batch, Metropolis acceptance applied greedily
+    in draw order under a conflict screen (see
+    :meth:`_AnnealContext.run_batches`).  The rung's windows, pricing
+    and commits run in the C kernel (:mod:`repro.pnr.kernel`), built on
+    the first anneal; a missing compiler raises
+    :class:`~repro.pnr.kernel.KernelBuildError` there.
 
-    ``t_start`` defaults to ``0.5 * (rows + cols)``.  ``stats``, when
-    given a dict, receives evaluated/accepted move and batch counts;
-    ``move_log`` collects ``(gate, target, delta)`` per commit for
-    replay-style testing.
+    ``steps=None`` picks a size-scaled budget; explicit ``steps`` are
+    honoured, so ``steps=0`` returns ``placement`` unannealed and a
+    negative budget raises ``ValueError``.  ``t_start`` defaults to
+    ``0.5 * (rows + cols)``.  ``stats``, when given a dict, receives
+    evaluated/accepted move and batch counts; ``move_log`` collects
+    ``(gate, target, delta)`` per commit for replay-style testing.
     """
     region = placement.region
     names = list(design.gates)
     if batch_moves is not None and batch_moves < 1:
         raise ValueError("batch_moves must be >= 1")
+    if steps is not None and steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     if stats is not None:
         stats.update(evaluated=0, accepted=0, batches=0)
-    if len(names) < 2:
+    if len(names) < 2 or steps == 0:
         return placement
     default_budget = steps is None
     if steps is None:

@@ -82,6 +82,11 @@ _ROWS_BY_MASK: tuple[tuple[int, ...], ...] = tuple(
 )
 
 
+def _clear_row_bit(mask: dict, cell, row: int) -> None:
+    """Undo of :meth:`RoutingState._mark_row`."""
+    mask[cell] &= ~(1 << row)
+
+
 class RoutingError(RuntimeError):
     """A net could not be routed with the available cells and wires."""
 
@@ -218,9 +223,10 @@ class RoutingState:
 
     # -- transactional routing -----------------------------------------
     # All occupancy mutations go through the journaled mutators below,
-    # so a net that fails mid-route undoes exactly what it wrote (the
-    # success path records a handful of closures instead of copying the
-    # whole state per net).
+    # so a net that fails mid-route undoes exactly what it wrote.  A
+    # journal entry is ``(function, *args)`` over module-level functions
+    # and unbound methods: the success path records a handful of tuples,
+    # neither copying the state per net nor allocating closures.
 
     def begin_net(self) -> None:
         """Start recording mutations for one net."""
@@ -232,47 +238,47 @@ class RoutingState:
 
     def rollback_net(self) -> None:
         """Undo every mutation recorded since :meth:`begin_net`."""
-        for fn in reversed(self._undo):
-            fn()
+        for fn, *args in reversed(self._undo):
+            fn(*args)
         self._undo = []
 
     def claim_wire(self, w: tuple[int, int, int], net: str) -> None:
         self.wire_net[w] = net
-        self._undo.append(lambda: self.wire_net.pop(w, None))
+        self._undo.append((dict.pop, self.wire_net, w, None))
 
     def add_gate_row(self, cell, row: int, direction: Direction) -> None:
         rows = self.gate_rows.setdefault(cell, {})
         rows[row] = direction
         self._mark_row(cell, row)
-        self._undo.append(lambda: rows.pop(row, None))
+        self._undo.append((dict.pop, rows, row, None))
         if cell in self.pending_output:
             self.pending_output.discard(cell)
-            self._undo.append(lambda: self.pending_output.add(cell))
+            self._undo.append((set.add, self.pending_output, cell))
 
     def add_thru_row(self, cell, net: str, in_col: int, row: int, direction) -> None:
         if (cell, net) not in self.thru_col:
             self.thru_col[(cell, net)] = in_col
-            self._undo.append(lambda: self.thru_col.pop((cell, net), None))
+            self._undo.append((dict.pop, self.thru_col, (cell, net), None))
         self.assign_col(cell, in_col, net)
         rows = self.thru_rows.setdefault(cell, {})
         rows[row] = (in_col, direction)
         self._mark_row(cell, row)
-        self._undo.append(lambda: rows.pop(row, None))
+        self._undo.append((dict.pop, rows, row, None))
 
     def _mark_row(self, cell, row: int) -> None:
         mask = self._row_mask
         mask[cell] = mask.get(cell, 0) | 1 << row
-        self._undo.append(lambda: mask.__setitem__(cell, mask[cell] & ~(1 << row)))
+        self._undo.append((_clear_row_bit, mask, cell, row))
 
     def assign_col(self, cell, col: int, net: str) -> None:
         assign = self.col_assign.setdefault(cell, {})
         if col not in assign:
             assign[col] = net
-            self._undo.append(lambda: assign.pop(col, None))
+            self._undo.append((dict.pop, assign, col, None))
         pending = self.pending_inputs.get(cell)
         if pending is not None and net in pending:
             pending.discard(net)
-            self._undo.append(lambda: pending.add(net))
+            self._undo.append((set.add, pending, net))
 
     # -- geometry helpers ----------------------------------------------
     def in_region(self, r: int, c: int) -> bool:
@@ -475,6 +481,7 @@ class Router:
             prev_failed = failed
             failed = []
             ordered = nets
+            eligible = []
             if self._use_warm:
                 # Last pass's failures keep absolute priority, then the
                 # replays: they re-claim slices of one mutually
@@ -494,18 +501,17 @@ class Router:
                     + eligible
                     + [n for n in nets if n not in taken]
                 )
+            replayable = set(eligible)
             for net in ordered:
                 # Cooperative cancellation: a service deadline cancels
                 # between nets, never mid-search.
                 checkpoint()
-                if self._use_warm:
-                    warm = self.warm_routes.get(net)
-                    if warm is not None and self._warm_eligible(net):
-                        replayed = self._replay_net(warm)
-                        if replayed is not None:
-                            self.routes[net] = replayed
-                            self.n_replayed += 1
-                            continue
+                if net in replayable:
+                    replayed = self._replay_net(self.warm_routes[net])
+                    if replayed is not None:
+                        self.routes[net] = replayed
+                        self.n_replayed += 1
+                        continue
                 self.state.begin_net()
                 try:
                     self.routes[net] = self._route_net(net)

@@ -191,7 +191,19 @@ class MappedDesign:
             seen.setdefault(g.output, None)
         return list(seen)
 
+    def memo(self, key: str, compute):
+        """``compute(self)``, cached on the design until :meth:`_finalise`.
+
+        For views derived from the gate graph alone (topological levels,
+        the STA order), which several compile stages read.
+        """
+        cache = self.__dict__.setdefault("_memo", {})
+        if key not in cache:
+            cache[key] = compute(self)
+        return cache[key]
+
     def _finalise(self) -> None:
+        self.__dict__.pop("_memo", None)
         self.source_of = {}
         self.sinks_of = {}
         for g in self.gates.values():

@@ -133,6 +133,13 @@ class TimingReport:
 # Wire-delay extraction
 # ----------------------------------------------------------------------
 
+_EAST, _NORTH = Direction.EAST, Direction.NORTH
+
+
+def _diagonal(w: tuple[int, int, int]) -> tuple:
+    return (w[0] + w[1], w)
+
+
 def _routed_depths(state, route, src_out_cell) -> dict[tuple[int, int, int], int]:
     """Feed-through hop count of every wire in one routed net tree.
 
@@ -142,25 +149,24 @@ def _routed_depths(state, route, src_out_cell) -> dict[tuple[int, int, int], int
     guarantees parents are resolved first.
     """
     depth: dict[tuple[int, int, int], int] = {}
-    for w in sorted(set(route.wires), key=lambda w: (w[0] + w[1], w)):
+    thru_rows, thru_col, gate_rows = state.thru_rows, state.thru_col, state.gate_rows
+    net = route.net
+    for w in sorted(set(route.wires), key=_diagonal):
         r, c, i = w
         parent = None
-        for q, direction in (((r, c - 1), Direction.EAST), ((r - 1, c), Direction.NORTH)):
+        for q, direction in (((r, c - 1), _EAST), ((r - 1, c), _NORTH)):
             if q[0] < 0 or q[1] < 0:
                 continue
-            thru = state.thru_rows.get(q, {}).get(i)
+            rows = thru_rows.get(q)
+            thru = rows.get(i) if rows else None
             if (
                 thru is not None
                 and thru[1] is direction
-                and state.thru_col.get((q, route.net)) == thru[0]
+                and thru_col.get((q, net)) == thru[0]
             ):
                 parent = (q[0], q[1], thru[0])
                 break
-            if (
-                src_out_cell is not None
-                and q == src_out_cell
-                and state.gate_rows.get(q, {}).get(i) is direction
-            ):
+            if q == src_out_cell and gate_rows.get(q, {}).get(i) is direction:
                 break  # driven directly by the source gate: depth 0
         if parent is None:
             depth[w] = 0  # gate drive or primary-input entry
@@ -168,7 +174,7 @@ def _routed_depths(state, route, src_out_cell) -> dict[tuple[int, int, int], int
             depth[w] = depth[parent] + 1
         else:  # pragma: no cover - the tree is connected by construction
             raise TimingError(
-                f"net {route.net!r}: wire {w} hangs off unresolved {parent}"
+                f"net {net!r}: wire {w} hangs off unresolved {parent}"
             )
     return depth
 
@@ -236,7 +242,27 @@ def _wire_delays(
 # The analysis
 # ----------------------------------------------------------------------
 
-def _propagate(design, order, sink_delay, out_delay, input_arrivals=None):
+def _gate_facts(design: MappedDesign) -> list[tuple]:
+    """``(name, inputs, output, is_stateful, fabric_delay)`` per gate in
+    propagation order (by level, then name); cached per design."""
+    def compute(d):
+        levels = gate_levels(d)
+        return [
+            (n, g.inputs, g.output, g.is_stateful, g.fabric_delay)
+            for n in sorted(d.gates, key=lambda n: (levels[n], n))
+            for g in (d.gates[n],)
+        ]
+
+    return design.memo("sta_facts", compute)
+
+
+def _logic_delay(design: MappedDesign) -> int:
+    """The ideal-wire cycle time: every wire priced at zero."""
+    _, _, ideal = _propagate(design, {}, {})
+    return max((c[0] for c in ideal), default=0)
+
+
+def _propagate(design, sink_delay, out_delay, input_arrivals=None):
     """Forward pass: launch times, pin arrivals, capture events."""
     input_arrivals = input_arrivals or {}
     launch: dict[str, int] = {
@@ -244,19 +270,18 @@ def _propagate(design, order, sink_delay, out_delay, input_arrivals=None):
     }
     pin_arrival: dict[tuple[str, int], int] = {}
     captures: list[tuple[int, str, str, str | None, int | None]] = []
-    for gname in order:
-        gate = design.gates[gname]
+    for gname, inputs, output, stateful, delay in _gate_facts(design):
         arrivals = []
-        for pin, net in enumerate(gate.inputs):
+        for pin, net in enumerate(inputs):
             a = launch.get(net, 0) + sink_delay.get((gname, pin), 0)
             pin_arrival[(gname, pin)] = a
             arrivals.append(a)
-        if gate.is_stateful:
-            for pin, net in enumerate(gate.inputs):
+        if stateful:
+            for pin, net in enumerate(inputs):
                 captures.append((pin_arrival[(gname, pin)], "pair", net, gname, pin))
-            launch[gate.output] = gate.fabric_delay
+            launch[output] = delay
         else:
-            launch[gate.output] = (max(arrivals) if arrivals else 0) + gate.fabric_delay
+            launch[output] = (max(arrivals) if arrivals else 0) + delay
     for net in design.outputs:
         if net in launch:
             captures.append(
@@ -309,18 +334,15 @@ def analyze_timing(
     :class:`repro.pnr.place.PlacementError` if the gate graph has
     feedback (the monotone fabric cannot route it anyway).
     """
-    levels = gate_levels(design)
-    order = sorted(design.gates, key=lambda n: (levels[n], n))
     sink_delay, out_delay, mode = _wire_delays(design, placement, state, routes)
 
     launch, pin_arrival, captures = _propagate(
-        design, order, sink_delay, out_delay, input_arrivals
+        design, sink_delay, out_delay, input_arrivals
     )
     cycle = max((c[0] for c in captures), default=0)
     logic_delay = cycle
     if mode != "logic" or input_arrivals:
-        _, _, ideal = _propagate(design, order, {}, {})
-        logic_delay = max((c[0] for c in ideal), default=0)
+        logic_delay = design.memo("logic_delay", _logic_delay)
     period = logic_delay if target_period is None else int(target_period)
 
     # Backward pass: longest downstream delay from each net's launch point.
@@ -329,13 +351,12 @@ def analyze_timing(
         net: out_delay.get(net, 0) + tails.get(net, 0)
         for net in design.outputs
     }
-    for gname in reversed(order):
-        gate = design.gates[gname]
-        if gate.is_stateful:
+    for gname, inputs, output, stateful, delay in reversed(_gate_facts(design)):
+        if stateful:
             tail = 0  # paths capture at the pair's pins
         else:
-            tail = gate.fabric_delay + downstream.get(gate.output, 0)
-        for pin, net in enumerate(gate.inputs):
+            tail = delay + downstream.get(output, 0)
+        for pin, net in enumerate(inputs):
             cand = sink_delay.get((gname, pin), 0) + tail
             if cand > downstream.get(net, 0):
                 downstream[net] = cand
@@ -389,11 +410,9 @@ def trace_endpoint(
     critical path with this.  Raises :class:`TimingError` when
     ``endpoint`` is not a reachable declared output.
     """
-    levels = gate_levels(design)
-    order = sorted(design.gates, key=lambda n: (levels[n], n))
     sink_delay, out_delay, _ = _wire_delays(design, placement, state, routes)
     launch, pin_arrival, _ = _propagate(
-        design, order, sink_delay, out_delay, input_arrivals
+        design, sink_delay, out_delay, input_arrivals
     )
     if endpoint not in design.outputs or endpoint not in launch:
         raise TimingError(

@@ -16,7 +16,12 @@ Covers the correctness contracts the perf rework leans on:
 
 import gc
 import random
+import shutil
+import subprocess
+import sys
+import threading
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,7 @@ from repro.datapath.adder import ripple_carry_netlist
 from repro.fabric.floorplan import Region
 from repro.netlist import Netlist
 from repro.pnr import compile_sharded, compile_to_fabric, map_netlist
+from repro.pnr import kernel
 from repro.pnr.flow import suggest_array
 from repro.pnr.parallel import parallel_map, resolve_workers
 from repro.pnr.place import (
@@ -39,6 +45,7 @@ from repro.pnr.place import (
     initial_placement,
 )
 from repro.pnr.route import Router
+from test_anneal_pins import multi_pin_design
 
 
 def small_design():
@@ -117,10 +124,14 @@ class TestBatchedEvaluator:
         assert replay.total == pytest.approx(hpwl(design, refined))
 
     @settings(max_examples=15, deadline=None)
-    @given(st.integers(0, 2**31), st.integers(1, 200))
-    def test_propose_batch_matches_scalar_propose(self, seed, k):
-        """propose_batch prices exactly like k scalar propose() calls."""
-        design = small_design()
+    @given(
+        st.integers(0, 2**31), st.integers(1, 200),
+        st.sampled_from(["rca4", "multi-pin"]),
+    )
+    def test_propose_batch_matches_scalar_propose(self, seed, k, which):
+        """propose_batch prices exactly like k scalar propose() calls,
+        also for gates that read one net through several pins."""
+        design = small_design() if which == "rca4" else multi_pin_design()
         _, region, placement = seeded_placement(design)
         cost = IncrementalHpwl(design, placement)
         evaluator = BatchMoveEvaluator(cost)
@@ -128,7 +139,7 @@ class TestBatchedEvaluator:
         gis = gen.integers(0, len(cost.names), k)
         trs = gen.integers(region.row, region.row + region.n_rows, k)
         tcs = gen.integers(region.col, region.col + region.n_cols, k)
-        deltas, _ = evaluator.propose_batch(gis, trs, tcs)
+        deltas = evaluator.propose_batch(gis, trs, tcs)
         for j in range(k):
             want, _ = cost.propose(int(gis[j]), int(trs[j]), int(tcs[j]))
             assert deltas[j] == want, (j, int(gis[j]))
@@ -157,6 +168,125 @@ class TestBatchedEvaluator:
             with pytest.raises(ValueError, match="batch_moves"):
                 anneal_placement(design, placement, random.Random(0),
                                  batch_moves=0)
+
+
+    def test_zero_steps_anneal_nothing(self):
+        """An explicit budget is honoured: ``steps=0`` evaluates no move
+        and returns the placement as given."""
+        design = small_design()
+        _, _, placement = seeded_placement(design)
+        stats: dict = {}
+        out = anneal_placement(design, placement, random.Random(0),
+                               steps=0, stats=stats)
+        assert out is placement
+        assert stats == {"evaluated": 0, "accepted": 0, "batches": 0}
+
+    def test_negative_steps_raise(self):
+        design = small_design()
+        _, _, placement = seeded_placement(design)
+        with pytest.raises(ValueError, match="steps"):
+            anneal_placement(design, placement, random.Random(0), steps=-3)
+
+
+# ----------------------------------------------------------------------
+# The C kernel: build cache, no shared state, missing compiler
+# ----------------------------------------------------------------------
+
+class TestKernel:
+    def test_cache_key_follows_the_source(self, tmp_path):
+        """Editing the C source builds (and loads) a different library."""
+        source = tmp_path / "_anneal.c"
+        text = kernel.SOURCE.read_bytes()
+        source.write_bytes(text)
+        first = kernel.build(source)
+        source.write_bytes(text + b"/* edited */\n")
+        second = kernel.build(source)
+        assert first != second
+        assert first.exists() and second.exists()
+        assert kernel.build(source) == second  # cached, not rebuilt
+        assert kernel.cache_key(text) != kernel.cache_key(text + b" ")
+        assert kernel.cache_key(text) != kernel.cache_key(
+            text, kernel.FLAGS + ("-g",)
+        )
+
+    def test_unwritable_package_dir_builds_privately(self, tmp_path,
+                                                     monkeypatch):
+        """No writable ``__pycache__``: the build goes to a private
+        (mode 0700) temporary directory instead."""
+        source = tmp_path / "_anneal.c"
+        source.write_bytes(kernel.SOURCE.read_bytes() + b"/* private */\n")
+        mkdir = Path.mkdir
+
+        def deny(path, *args, **kwargs):
+            if path.name == "__pycache__":
+                raise PermissionError(13, "read-only", str(path))
+            return mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", deny)
+        built = kernel.build(source)
+        try:
+            assert built.exists() and tmp_path not in built.parents
+            assert built.parent.stat().st_mode & 0o777 == 0o700
+        finally:
+            shutil.rmtree(built.parent)
+
+    def test_concurrent_compiles_match_serial(self):
+        """Three threads compiling at once (more threads than this
+        container's cores, with a short switch interval) produce the
+        serial bitstreams: the kernel keeps no state between calls."""
+        jobs = [(ripple_carry_netlist(5), s) for s in range(6)]
+        serial = [
+            compile_to_fabric(nl, seed=s, workers=0).to_bitstream()
+            for nl, s in jobs
+        ]
+        results: dict[int, np.ndarray] = {}
+
+        def work(lane: int) -> None:
+            for i in range(lane, len(jobs), 3):
+                nl, s = jobs[i]
+                results[i] = compile_to_fabric(
+                    nl, seed=s, workers=0
+                ).to_bitstream()
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, want in enumerate(serial):
+            assert np.array_equal(results[i], want), i
+
+    def test_missing_compiler_is_a_clear_error(self, tmp_path):
+        """With no ``cc`` on PATH and no cached build, the first anneal
+        raises KernelBuildError naming the missing compiler."""
+        source = tmp_path / "_anneal.c"
+        source.write_bytes(kernel.SOURCE.read_bytes() + b"/* uncached */\n")
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from repro.pnr import kernel, compile_to_fabric\n"
+            "from repro.datapath.adder import ripple_carry_netlist\n"
+            f"kernel.SOURCE = Path({str(source)!r})\n"
+            "try:\n"
+            "    compile_to_fabric(ripple_carry_netlist(2), workers=0)\n"
+            "except kernel.KernelBuildError as e:\n"
+            "    print(e)\n"
+            "    sys.exit(3)\n"
+        )
+        src_dir = Path(kernel.__file__).resolve().parents[2]
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={"PATH": "", "PYTHONPATH": str(src_dir)}, timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "needs a C compiler" in proc.stdout
+        assert "no `cc` on PATH" in proc.stdout
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 A compiled design is, physically, a configuration — 64 quaternary
 digits per cell — plus the bookkeeping the service and the warm paths
 need (source netlist, mapped design, placement, route journals, timing,
-router occupancy).  This module is the one owner of the byte format
+the die's defect map).  This module is the one owner of the byte format
 both :meth:`repro.pnr.PnrResult.to_blob` and the persisted
 :class:`repro.service.store.ArtifactStore` use.  Decoding never runs
 code from the blob: it parses JSON, inflates zlib streams, reads int32
@@ -25,14 +25,17 @@ bytes]`` per section.  Sharded results list one such header per shard.
 The **sections** are decoded only when the field is first touched
 (:func:`repro.pnr.flow.lazy_fields`): ``source``, ``design``, ``array``
 (a copy of the array's digit buffer, :meth:`repro.fabric.CellArray.to_digits`),
-``placement``, ``routes`` (the commit journals' five op kinds restored
-to their exact tuples and ``Direction`` members), ``timing`` and
-``routing_state`` (stored as-is, never re-derived by replaying the
-journals — replay would have to reproduce defect pre-claims exactly);
-sharded results add ``partition`` and ``channels`` and prefix each
-shard's sections with ``shards.<i>.``.  Apart from ``array``, a section
+``placement``, ``routes`` (wires, sink columns and the flat int32
+commit journals, restored as ``array('i')``; a journal is not parsed
+here — the router's replay validates every op before it claims
+anything), ``timing`` and ``defect_map`` (the die a repaired or
+defect-aware result was built for, else null).  The router's occupancy
+is not stored: nothing reads it after a compile, and a warm path
+rebuilds it from the placement and the journals.  Sharded results add
+``partition`` and ``channels`` and prefix each shard's sections with
+``shards.<i>.``.  Apart from ``array``, a section
 decodes to one JSON line followed by a little-endian int32 column: the
-integer-heavy fields (wires, journals, occupancy) travel in the column,
+integer-heavy fields (wires, journals) travel in the column,
 which is several times cheaper to write and read than JSON numbers.
 Inflation is bounded by the declared decoded size: a section that
 inflates past it, or short of it, raises ``ValueError`` when touched.
@@ -69,13 +72,12 @@ from repro.arch.area import AreaBreakdown
 from repro.fabric.array import CellArray
 from repro.fabric.channel import InterArrayChannel
 from repro.fabric.floorplan import Region
-from repro.fabric.nandcell import Direction
 from repro.netlist.ir import Netlist
 from repro.pnr.defects import DefectMap
 from repro.pnr.flow import PnrResult, PnrStats
 from repro.pnr.partition import Partition, ShardedPnrResult, ShardedPnrStats
 from repro.pnr.place import Placement
-from repro.pnr.route import NetRoute, RoutingState
+from repro.pnr.route import NetRoute
 from repro.pnr.techmap import MappedDesign, MappedGate
 from repro.pnr.timing import PathStep, TimingReport
 
@@ -84,8 +86,10 @@ __all__ = ["RESULT_BLOB_VERSION", "decode_result", "encode_result"]
 #: Version of the blob format.  Bump it whenever a field of a result
 #: (or anything a section holds) changes meaning: older blobs then fail
 #: the magic-line check instead of decoding into nonsense.  Version 1
-#: was a pickle; version 2 is this sectioned, pickle-free layout.
-RESULT_BLOB_VERSION = 2
+#: was a pickle; version 2 is this sectioned, pickle-free layout;
+#: version 3 drops the router's occupancy (``routing_state``) and keeps
+#: a die's defect map as its own ``defect_map`` section.
+RESULT_BLOB_VERSION = 3
 
 _MAGIC = f"repro.pnr.result {RESULT_BLOB_VERSION}".encode()
 
@@ -330,7 +334,7 @@ def _pnr_sections(res: PnrResult, prefix: str, out: list) -> dict:
         (prefix + "placement", _section(_placement_out, res.placement)),
         (prefix + "routes", _section(_routes_out, res.routes)),
         (prefix + "timing", _section(_timing_out, res.timing)),
-        (prefix + "routing_state", _section(_state_out, res.routing_state, res)),
+        (prefix + "defect_map", _section(_defects_out, res.defect_map)),
     ]
     return {
         "shape": [array_.n_rows, array_.n_cols],
@@ -358,130 +362,6 @@ def _lazy_pnr(head: dict, sections: _Sections, prefix: str) -> PnrResult:
 
 def _array_in(digits: bytes, _res, loader: _Loader) -> CellArray:
     return CellArray.from_digits(*loader.shape, digits)
-
-
-#: Every attribute a settled :class:`RoutingState` carries; the codec
-#: refuses to encode a state with any other set, so adding one without
-#: teaching the codec fails loudly instead of silently dropping it.
-_STATE_ATTRS = frozenset({
-    "design", "placement", "n_rows", "n_cols", "region", "defects",
-    "logic_cells", "opaque", "_row_mask", "_pair_committed", "gate_rows",
-    "thru_rows", "thru_col", "col_assign", "wire_net", "_undo",
-    "pending_inputs", "pending_output",
-})
-
-
-def _state_out(st: RoutingState | None, ints, res: PnrResult):
-    """The router's occupancy: JSON keeps names and counts, ``ints`` the
-    cells, wires, rows and columns, in the order :func:`_state_in`
-    reads them back."""
-    if st is None:
-        return None
-    if set(vars(st)) != _STATE_ATTRS:
-        raise ValueError(
-            f"RoutingState attributes changed "
-            f"({sorted(set(vars(st)) ^ _STATE_ATTRS)}); teach the codec and "
-            "bump RESULT_BLOB_VERSION"
-        )
-    if st.design is not res.design or st.placement is not res.placement:
-        raise ValueError("routing_state must describe the result's own placement")
-    if st.region != res.region or st._undo:
-        raise ValueError("routing_state is not a settled state of this result")
-    ints.extend(chain.from_iterable(st.logic_cells))
-    ints.extend(chain.from_iterable(sorted(st.opaque)))
-    ints.extend(chain.from_iterable(st._row_mask))
-    ints.extend(st._row_mask.values())
-    ints.extend(chain.from_iterable(sorted(st._pair_committed)))
-    for (r, c), rows in st.gate_rows.items():
-        ints.extend((r, c, len(rows)))
-        ints.extend(chain.from_iterable(rows.items()))
-    for (r, c), rows in st.thru_rows.items():
-        ints.extend((r, c, len(rows)))
-        for row, (col, direction) in rows.items():
-            ints.extend((row, col, direction))
-    for ((r, c), _net), col in st.thru_col.items():
-        ints.extend((r, c, col))
-    for (r, c), cols in st.col_assign.items():
-        ints.extend((r, c, len(cols)))
-        ints.extend(cols)
-    ints.extend(chain.from_iterable(st.wire_net))
-    ints.extend(chain.from_iterable(st.pending_inputs))
-    ints.extend(chain.from_iterable(sorted(st.pending_output)))
-    return {
-        "shape": [st.n_rows, st.n_cols],
-        "defects": _defects_out(st.defects),
-        "logic_gates": list(st.logic_cells.values()),
-        "counts": [
-            len(st.opaque), len(st._row_mask), len(st._pair_committed),
-            len(st.gate_rows), len(st.thru_rows), len(st.col_assign),
-            len(st.pending_output),
-        ],
-        "thru_nets": [net for _, net in st.thru_col],
-        "col_nets": list(chain.from_iterable(
-            cols.values() for cols in st.col_assign.values()
-        )),
-        "wire_nets": list(st.wire_net.values()),
-        "pending_inputs": [sorted(nets) for nets in st.pending_inputs.values()],
-    }
-
-
-def _state_in(obj, ints: _Ints, res: PnrResult) -> RoutingState | None:
-    if obj is None:
-        return None
-    n_opaque, n_mask, n_pair, n_gate, n_thru, n_cols, n_pending = obj["counts"]
-    logic_gates = obj["logic_gates"]
-    logic_cells = dict(zip(ints.tuples(len(logic_gates), 2), logic_gates))
-    opaque = set(ints.tuples(n_opaque, 2))
-    mask_cells = ints.tuples(n_mask, 2)
-    row_mask = dict(zip(mask_cells, ints.take(n_mask)))
-    pair_committed = set(ints.tuples(n_pair, 2))
-    gate_rows = {}
-    for _ in range(n_gate):
-        r, c, n = ints.take(3)
-        gate_rows[r, c] = {row: _DIRECTION[d] for row, d in ints.tuples(n, 2)}
-    thru_rows = {}
-    for _ in range(n_thru):
-        r, c, n = ints.take(3)
-        thru_rows[r, c] = {
-            row: (col, _DIRECTION[d]) for row, col, d in ints.tuples(n, 3)
-        }
-    thru_nets = obj["thru_nets"]
-    thru_col = {
-        ((r, c), net): col
-        for (r, c, col), net in zip(ints.tuples(len(thru_nets), 3), thru_nets)
-    }
-    col_nets = iter(obj["col_nets"])
-    col_assign = {}
-    for _ in range(n_cols):
-        r, c, n = ints.take(3)
-        col_assign[r, c] = dict(zip(ints.take(n), col_nets))
-    wire_nets = obj["wire_nets"]
-    pending = obj["pending_inputs"]
-    st = RoutingState.__new__(RoutingState)
-    st.__dict__.update(
-        design=res.design,
-        placement=res.placement,
-        n_rows=obj["shape"][0],
-        n_cols=obj["shape"][1],
-        region=res.region,
-        defects=_defects_in(obj["defects"]),
-        logic_cells=logic_cells,
-        opaque=opaque,
-        _row_mask=row_mask,
-        _pair_committed=pair_committed,
-        gate_rows=gate_rows,
-        thru_rows=thru_rows,
-        thru_col=thru_col,
-        col_assign=col_assign,
-        wire_net=dict(zip(ints.tuples(len(wire_nets), 3), wire_nets)),
-        _undo=[],
-        pending_inputs={
-            cell: set(nets)
-            for cell, nets in zip(ints.tuples(len(pending), 2), pending)
-        },
-        pending_output=set(ints.tuples(n_pending, 2)),
-    )
-    return st
 
 
 # ----------------------------------------------------------------------
@@ -563,9 +443,6 @@ def _channels_in(obj, _ints, _res) -> list[InterArrayChannel]:
 # ----------------------------------------------------------------------
 # The field codecs
 # ----------------------------------------------------------------------
-
-_DIRECTION = tuple(Direction(v) for v in range(len(Direction)))
-
 
 def _cell_in(cell):
     return None if cell is None else (cell[0], cell[1])
@@ -683,56 +560,6 @@ def _placement_in(obj, ints: _Ints, _res) -> Placement:
     )
 
 
-#: Route-journal op kinds (see ``Router._replay_net``) and their
-#: flattened lengths: the kind code, then every integer of the op.
-_OPS = ("entry", "entry_front", "drive", "thru", "col")
-_OP_CODE = {kind: code for code, kind in enumerate(_OPS)}
-_OP_LEN = (4, 4, 8, 9, 4)
-
-
-def _op_out(op: tuple) -> tuple:
-    kind = op[0]
-    if kind == "entry" or kind == "entry_front":
-        return (_OP_CODE[kind], *op[1])
-    if kind == "drive":
-        _, w, cell, row, direction = op
-        return (2, *w, *cell, row, direction)
-    if kind == "thru":
-        _, w, cell, in_col, row, direction = op
-        return (3, *w, *cell, in_col, row, direction)
-    if kind == "col":
-        _, cell, col = op
-        return (4, *cell, col)
-    raise ValueError(f"unknown route journal op {kind!r}")
-
-
-def _ops_in(flat: list[int]) -> list[tuple]:
-    """Split a route's flattened journal back into its op tuples."""
-    ops, k = [], 0
-    while k < len(flat):
-        code = flat[k]
-        if not 0 <= code < len(_OPS):
-            raise ValueError(f"unknown route journal op code {code}")
-        v = flat[k : k + _OP_LEN[code]]
-        k += _OP_LEN[code]
-        if len(v) != _OP_LEN[code]:
-            raise ValueError(f"route journal op {v!r} is truncated")
-        if code <= 1:
-            ops.append((_OPS[code], (v[1], v[2], v[3])))
-        elif code == 2:
-            ops.append(
-                ("drive", (v[1], v[2], v[3]), (v[4], v[5]), v[6], _DIRECTION[v[7]])
-            )
-        elif code == 3:
-            ops.append((
-                "thru", (v[1], v[2], v[3]), (v[4], v[5]), v[6], v[7],
-                _DIRECTION[v[8]],
-            ))
-        else:
-            ops.append(("col", (v[1], v[2]), v[3]))
-    return ops
-
-
 def _routes_out(routes: dict[str, NetRoute], ints, _res) -> list:
     """Per route ``[net, wires, has entry, sink names, journal length]``;
     the wires, entry wire, sink pins/columns and journal go to ``ints``."""
@@ -745,12 +572,10 @@ def _routes_out(routes: dict[str, NetRoute], ints, _res) -> list:
             ints.extend(route.entry_wire)
         for (_sink, pin), col in route.sink_cols.items():
             ints.extend((pin, col))
-        start = len(ints)
-        for op in route.ops:
-            ints.extend(_op_out(op))
+        ints.extend(route.ops)
         out.append([
             net, len(route.wires), route.entry_wire is not None,
-            [sink for sink, _ in route.sink_cols], len(ints) - start,
+            [sink for sink, _ in route.sink_cols], len(route.ops),
         ])
     return out
 
@@ -766,7 +591,7 @@ def _routes_in(obj, ints: _Ints, _res) -> dict[str, NetRoute]:
             wires=wires,
             entry_wire=entry,
             sink_cols={(sink, pin): col for sink, (pin, col) in zip(sinks, pins)},
-            ops=_ops_in(ints.take(n_ops)),
+            ops=array("i", ints.take(n_ops)),
         )
     return routes
 
@@ -791,7 +616,7 @@ def _timing_in(obj, _ints, _res) -> TimingReport | None:
     return TimingReport(**obj)
 
 
-def _defects_out(defects: DefectMap | None):
+def _defects_out(defects: DefectMap | None, _ints, _res):
     if defects is None:
         return None
     return [
@@ -800,7 +625,7 @@ def _defects_out(defects: DefectMap | None):
     ]
 
 
-def _defects_in(obj) -> DefectMap | None:
+def _defects_in(obj, _ints, _res) -> DefectMap | None:
     if obj is None:
         return None
     n_rows, n_cols, cells, wires, stuck = obj
@@ -814,7 +639,7 @@ _PNR_DECODERS = {
     "placement": _columns(_placement_in),
     "routes": _columns(_routes_in),
     "timing": _columns(_timing_in),
-    "routing_state": _columns(_state_in),
+    "defect_map": _columns(_defects_in),
 }
 _SHARDED_DECODERS = {
     "source": _columns(_netlist_in),

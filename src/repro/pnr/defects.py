@@ -553,5 +553,5 @@ def repair_for_die(
         counts,
         n_routable=len(router.routable_nets()),
         report=report,
-        state=router.state,
+        defect_map=defect_map,
     )

@@ -1,6 +1,6 @@
 """Stage 4 — emission: routing state to configuration digits.
 
-Turns the bookkeeping of :class:`repro.pnr.route.RoutingState` into frame
+Turns the occupancy arrays of :class:`repro.pnr.route.RoutingState` into frame
 digits (the :mod:`repro.fabric.bitstream` layout) and installs them on a
 :class:`repro.fabric.array.CellArray` in one checked block write
 (:meth:`CellArray.set_cells`).  No :class:`~repro.fabric.nandcell.CellConfig`
@@ -27,6 +27,7 @@ Emission rules (all derived from the Fig. 4/5 tables):
 
 from __future__ import annotations
 
+import ctypes
 from functools import lru_cache
 
 import numpy as np
@@ -42,13 +43,20 @@ from repro.fabric.bitstream import (
 )
 from repro.fabric.driver import DriverMode
 from repro.fabric.leafcell import LeafState
-from repro.fabric.nandcell import InputSource, LfbPartner, N_INPUTS
-from repro.pnr.route import RoutingState
+from repro.fabric.mvram import N_CELLS
+from repro.fabric.nandcell import (
+    Direction,
+    InputSource,
+    LfbPartner,
+    N_INPUTS,
+    N_ROWS,
+)
+from repro.pnr import kernel
+from repro.pnr.route import RoutingState, gate_table
 from repro.pnr.techmap import (
     CONST_GATE,
     MappedGate,
     PAIR_CELEMENT,
-    PAIR_EVENTLATCH,
     PRODUCT_AND,
     PRODUCT_NAND,
 )
@@ -62,52 +70,119 @@ def emit_design(array: CellArray, state: RoutingState) -> dict[str, int]:
     """Install every placed gate and feed-through row on ``array``.
 
     Returns ``{"cells_logic": ..., "cells_route": ...}`` where
-    ``cells_route`` counts cells burned *purely* as interconnect (shared
-    logic/route cells count as logic).  All touched cells must be blank
-    beforehand (checked by the flow layer).
+    ``cells_route`` counts the cells the router ever gave a feed-through
+    that hold no logic (shared logic/route cells count as logic).  All
+    touched cells must be blank beforehand (checked by the flow layer).
+    The stateful pairs are built cell by cell here; the router's kernel
+    (``_route.c``) then writes every single-cell gate's product and
+    fan-out rows and every feed-through row in one pass over its arrays.
     """
     design = state.design
-    placement = state.placement
-    cells: dict[tuple[int, int], bytearray] = {}
-    n_logic = 0
-    for gate in design.gates.values():
-        in_cell = placement.input_cell(gate)
-        out_cell = placement.output_cell(gate)
-        out_rows = state.gate_rows.get(out_cell, {})
-        if not out_rows:
-            raise EmitError(f"gate {gate.name!r}: no output row was committed")
-        if gate.kind in (PRODUCT_NAND, PRODUCT_AND):
-            cells[in_cell] = _emit_product(state, gate, in_cell, out_rows)
-        elif gate.kind == CONST_GATE:
-            cells[in_cell] = _emit_const(gate, out_rows)
-        elif gate.kind == PAIR_CELEMENT:
-            cells[in_cell], cells[out_cell] = _emit_celement(
-                state, gate, in_cell, out_rows
-            )
-        elif gate.kind == PAIR_EVENTLATCH:
-            cells[in_cell], cells[out_cell] = _emit_eventlatch(
-                state, gate, in_cell, out_rows
-            )
+    cols = state.n_cols
+    names, widths, inputs, pinned = gate_table(design)
+    positions = state.placement.positions
+    pos = np.array([positions[g] for g in names], np.intp).reshape(-1, 2)
+    cell = pos[:, 0] * cols + pos[:, 1]
+    gates = list(design.gates.values())
+    singles = np.flatnonzero(~pinned)
+    high, consts = [], []
+    for k in singles.tolist():
+        gate = gates[k]
+        if gate.kind == CONST_GATE:
+            # The row reads 1; the driver sets the polarity.
+            high.append(gate.value == 1)
+            consts.append(True)
+        elif gate.kind in (PRODUCT_NAND, PRODUCT_AND):
+            high.append(gate.kind == PRODUCT_NAND)
+            consts.append(False)
         else:  # pragma: no cover - kinds are closed
             raise EmitError(f"gate {gate.name!r}: unknown kind {gate.kind!r}")
-        n_logic += gate.width
-    n_route = 0
-    for cell, rows in state.thru_rows.items():
-        d = cells.get(cell)
-        if d is None:
-            d = cells[cell] = bytearray(BLANK_DIGITS)
-            n_route += 1
-        for row, (in_col, direction) in rows.items():
-            if d[_OFF_DRIVER + row] != DriverMode.OFF:
-                raise EmitError(
-                    f"cell {cell}: row {row} claimed by both logic and routing"
-                )
-            # NAND + INVERT = buffer.
-            _set_row(d, row, _product((in_col,)), DriverMode.INVERT, direction)
-    array.set_cells(
-        list(cells), np.frombuffer(b"".join(cells.values()), dtype=np.uint8)
+    pair_cells, pair_digits = [], []
+    if pinned.any():
+        gate_dir = state.gate_dir.reshape(-1, N_ROWS)
+        columns = _column_reader(state)
+        for k in np.flatnonzero(pinned).tolist():
+            gate = gates[k]
+            out = int(cell[k]) + gate.width - 1
+            out_rows = {
+                row: Direction(d)
+                for row, d in enumerate(gate_dir[out].tolist()) if d >= 0
+            }
+            if not out_rows:
+                raise EmitError(f"gate {gate.name!r}: no output row was committed")
+            emit = (
+                _emit_celement if gate.kind == PAIR_CELEMENT else _emit_eventlatch
+            )
+            a, b = emit(columns, gate, tuple(pos[k].tolist()), out_rows)
+            pair_cells += [int(cell[k]), out]
+            pair_digits += [a, b]
+    logic = np.concatenate([cell[singles], np.array(pair_cells, np.intp)])
+    route_only = state.thru_key != 0
+    route_only[logic] = False
+    route_only = np.flatnonzero(route_only)
+    touched = np.concatenate([logic, route_only])
+    block = np.empty((len(touched), N_CELLS), np.uint8)
+    block[:] = np.frombuffer(BLANK_DIGITS, np.uint8)
+    if pair_cells:
+        block[len(singles):len(logic)] = np.frombuffer(
+            b"".join(pair_digits), np.uint8
+        ).reshape(-1, N_CELLS)
+    where = np.full(state.n_rows * cols, -1, np.int32)
+    where[touched] = np.arange(len(touched))
+    err = np.zeros(2, np.int64)
+    job = kernel.bind(
+        kernel.RouteEmit, n_gates=len(singles),
+        gate_cell=cell[singles].astype(np.int32), inputs=inputs[singles],
+        mode=np.where(high, DriverMode.BUFFER, DriverMode.INVERT).astype(np.uint8),
+        is_const=np.array(consts, np.uint8), where=where, block=block,
+        active=LeafState.ACTIVE, tied=LeafState.FORCE_ON,
+        cut=LeafState.FORCE_OFF, drv_off=DriverMode.OFF,
+        drv_inv=DriverMode.INVERT, off_driver=_OFF_DRIVER,
+        off_direction=_OFF_DIRECTION, err=err,
     )
-    return {"cells_logic": n_logic, "cells_route": n_route}
+    code = kernel.load(kernel.ROUTE_SOURCE).emit(state.ref, ctypes.addressof(job))
+    if code:
+        a, b = err.tolist()
+        if code == _CLASH:
+            raise EmitError(
+                f"cell {divmod(a, cols)}: row {b} claimed by both logic and "
+                "routing"
+            )
+        gate = gates[singles[a]]
+        if code == _NO_OUTPUT:
+            raise EmitError(f"gate {gate.name!r}: no output row was committed")
+        raise EmitError(
+            f"gate {gate.name!r}: input net {gate.inputs[b]!r} was never "
+            f"routed to cell {tuple(pos[singles[a]].tolist())} (partial routing?)"
+        )
+    array.set_cells(np.stack([touched // cols, touched % cols], axis=1), block)
+    return {"cells_logic": int(widths.sum()), "cells_route": len(route_only)}
+
+
+#: ``emit`` results (see ``_route.c``).
+_NO_OUTPUT, _UNROUTED_INPUT, _CLASH = 1, 2, 3
+
+
+def _column_reader(state: RoutingState):
+    """``columns(cell) -> {net id: column}``: the first column the router
+    claimed for each net the cell reads."""
+    col_net = state.col_net.tolist()
+    col_seq = state.col_seq.tolist()
+    cols = state.n_cols
+
+    def columns(cell) -> dict[int, int]:
+        k = (cell[0] * cols + cell[1]) * N_INPUTS
+        first: dict[int, int] = {}
+        for col in range(N_INPUTS):
+            owner = col_net[k + col]
+            if owner >= 0:
+                prev = first.get(owner)
+                if prev is None or col_seq[k + col] < col_seq[k + prev]:
+                    first[owner] = col
+        return first
+
+    columns.net_ids = state.net_ids
+    return columns
 
 
 @lru_cache(maxsize=None)
@@ -122,10 +197,6 @@ def _product(cols: tuple[int, ...]) -> bytes:
     )
 
 
-#: A constant-1 row: every crosspoint FORCE_OFF breaks the pull-down.
-_CONST1 = bytes([LeafState.FORCE_OFF] * N_INPUTS)
-
-
 def _set_row(d: bytearray, row: int, xpoints: bytes, mode, direction=0) -> None:
     """Write one row's crosspoints, driver mode and output direction."""
     d[row * N_INPUTS:(row + 1) * N_INPUTS] = xpoints
@@ -133,15 +204,13 @@ def _set_row(d: bytearray, row: int, xpoints: bytes, mode, direction=0) -> None:
     d[_OFF_DIRECTION + row] = direction
 
 
-def _input_columns(state: RoutingState, gate: MappedGate, in_cell) -> list[int]:
+def _input_columns(columns, gate: MappedGate, in_cell) -> list[int]:
     """The columns the router assigned to the gate's input nets."""
-    assign = state.col_assign.get(in_cell, {})
-    by_net: dict[str, int] = {}
-    for col, net in assign.items():
-        by_net.setdefault(net, col)
+    by_net = columns(in_cell)
+    ids = columns.net_ids
     cols = []
     for net in gate.inputs:
-        col = by_net.get(net)
+        col = by_net.get(ids[net])
         if col is None:
             raise EmitError(
                 f"gate {gate.name!r}: input net {net!r} was never routed "
@@ -149,24 +218,6 @@ def _input_columns(state: RoutingState, gate: MappedGate, in_cell) -> list[int]:
             )
         cols.append(col)
     return cols
-
-
-def _emit_product(state, gate: MappedGate, in_cell, out_rows) -> bytearray:
-    xpoints = _product(tuple(sorted(set(_input_columns(state, gate, in_cell)))))
-    mode = DriverMode.BUFFER if gate.kind == PRODUCT_NAND else DriverMode.INVERT
-    d = bytearray(BLANK_DIGITS)
-    for row, direction in out_rows.items():
-        _set_row(d, row, xpoints, mode, direction)
-    return d
-
-
-def _emit_const(gate: MappedGate, out_rows) -> bytearray:
-    # The row reads 1; the driver sets the polarity.
-    mode = DriverMode.BUFFER if gate.value == 1 else DriverMode.INVERT
-    d = bytearray(BLANK_DIGITS)
-    for row, direction in out_rows.items():
-        _set_row(d, row, _CONST1, mode, direction)
-    return d
 
 
 def _pair(products, collector: tuple[int, ...], out_rows):
@@ -186,17 +237,17 @@ def _pair(products, collector: tuple[int, ...], out_rows):
     return a, b
 
 
-def _emit_celement(state, gate: MappedGate, in_cell, out_rows):
+def _emit_celement(columns, gate: MappedGate, in_cell, out_rows):
     """c = a.b + a.c + b.c, optionally gated by the reset literal."""
-    cols = _input_columns(state, gate, in_cell)  # a, b[, rst_n] at 0, 1[, 2]
+    cols = _input_columns(columns, gate, in_cell)  # a, b[, rst_n] at 0, 1[, 2]
     extra = cols[2:3]
     a_col, b_col = cols[0], cols[1]
     products = ([a_col, b_col], [a_col, 5], [b_col, 5])
     return _pair([p + extra for p in products], (0, 1, 2), out_rows)
 
 
-def _emit_eventlatch(state, gate: MappedGate, in_cell, out_rows):
+def _emit_eventlatch(columns, gate: MappedGate, in_cell, out_rows):
     """z = R.A.D + R'.A'.D + R.A'.z + R'.A.z + D.z (paper Fig. 12)."""
-    d, r, rn, k, kn = _input_columns(state, gate, in_cell)
+    d, r, rn, k, kn = _input_columns(columns, gate, in_cell)
     products = ([r, k, d], [rn, kn, d], [r, kn, 5], [rn, k, 5], [d, 5])
     return _pair(products, (0, 1, 2, 3, 4), out_rows)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.pnr.defects import DefectMap
     from repro.pnr.partition import ShardedPnrResult
 
 import numpy as np
@@ -162,10 +163,9 @@ class PnrResult:
     stats: PnrStats
     #: Routed static timing: worst slack, critical path, cycle time.
     timing: TimingReport | None = None
-    #: The router's final occupancy bookkeeping — kept so downstream
-    #: passes (the sharded flow's system timing re-analysis, channel
-    #: port-cell attribution) can re-derive exact wire delays.
-    routing_state: RoutingState | None = None
+    #: The die's :class:`repro.pnr.defects.DefectMap` when the result
+    #: was compiled or repaired for one (else ``None``).
+    defect_map: DefectMap | None = None
 
     def fabric_netlist(self):
         """The configured array lowered to the IR.
@@ -336,11 +336,12 @@ def compile_to_fabric(
         gate_levels(design)  # fail fast on grid-level feedback
     except (TechMapError, PlacementError) as e:
         raise PnrError(f"cannot compile {netlist.name!r}: {e}") from e
-    return _compile_mapped(
+    result, _ = _compile_mapped(
         design, netlist, array=array, region=region, seed=seed,
         anneal_steps=anneal_steps, max_attempts=max_attempts,
         target_period=target_period, defect_map=defect_map,
     )
+    return result
 
 
 def _compile_mapped(
@@ -355,13 +356,15 @@ def _compile_mapped(
     target_period: int | None = None,
     max_side: int | None = None,
     defect_map=None,
-) -> PnrResult:
+) -> tuple[PnrResult, RoutingState]:
     """The place/route/time/emit retry ladder over a mapped design.
 
     The shared engine behind :func:`compile_to_fabric` (which tech-maps
     first) and the sharded flow (which partitions a mapped design and
     compiles each shard here, ``max_side`` capping the auto-sized
-    per-shard arrays).
+    per-shard arrays).  Returns the result and the router's final
+    state, which the sharded flow reads to time the system and
+    attribute channel ports; neither is persisted with the result.
     """
     auto_array = array is None
     if defect_map is not None:
@@ -427,8 +430,11 @@ def _compile_mapped(
             )
             # Annealing compacts for wirelength, which can cost
             # routability on congested designs — alternate attempts fall
-            # back to the (sparser) greedy seed.
-            if attempt % 2 == 0:
+            # back to the (sparser) greedy seed.  On a die the shape is
+            # pinned, so a retry gets no larger, sparser grid: every
+            # attempt anneals, and the anneal finds room around the
+            # dead cells.
+            if attempt % 2 == 0 or defect_map is not None:
                 placement = anneal_placement(
                     design, placement, rng, steps=anneal_steps,
                     blocked=blocked,
@@ -455,12 +461,13 @@ def _compile_mapped(
             from repro.pnr.defects import assert_defect_clean
 
             assert_defect_clean(target, defect_map)
-        return _build_result(
+        result = _build_result(
             netlist, design, target, reg, placement, routes, counts,
             n_routable=len(router.routable_nets()),
             report=report,
-            state=router.state,
+            defect_map=defect_map,
         )
+        return result, router.state
     raise PnrError(
         f"could not compile {netlist.name!r} after {max_attempts} attempts: "
         f"{last_error}"
@@ -487,7 +494,7 @@ def _check_region(array: CellArray, region: Region) -> None:
 
 def _build_result(
     netlist, design, array, region, placement, routes, counts, n_routable,
-    report=None, state=None,
+    report=None, defect_map=None,
 ) -> PnrResult:
     input_wires = {}
     for net in design.inputs:
@@ -532,7 +539,7 @@ def _build_result(
         ),
         stats=stats,
         timing=report,
-        routing_state=state,
+        defect_map=defect_map,
     )
 
 

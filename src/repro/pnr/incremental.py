@@ -161,7 +161,7 @@ def _connectivity_moved(
     journal: the replay would re-claim input columns at cells that no
     longer read the net, and the emitted product rows would pick those
     stale landings up.  Marking every endpoint of such nets as "moved"
-    makes :meth:`Router._warm_eligible` veto the replay.
+    makes :meth:`Router._stale_nets` veto the replay.
     """
     moved = set(touched)
     nets = set(base.sinks_of) | set(new.sinks_of)
@@ -354,5 +354,4 @@ def compile_incremental(
         netlist, design, target, region, placement, routes, counts,
         n_routable=len(router.routable_nets()),
         report=report,
-        state=router.state,
     )

@@ -1,19 +1,21 @@
-"""Build, cache and bind the annealer's C kernel (``_anneal.c``).
+"""Build, cache and bind the compiled kernels: the annealer's rung
+(``_anneal.c``) and the router's search and replay (``_route.c``).
 
-The kernel is compiled once per source and flag set with the system C
+Each kernel is compiled once per source and flag set with the system C
 compiler (``cc``) and cached as
-``repro/pnr/__pycache__/_anneal-<sha256 of source and flags>.so``.  A
+``repro/pnr/__pycache__/<source stem>-<sha256 of source and flags>.so``.  A
 build writes a private temporary file and renames it into place, so
 concurrent builders (threads or processes) are safe.  When the package
 directory is not writable the library goes to a private
 :func:`tempfile.mkdtemp` directory instead; nothing is ever loaded from a
 shared, world-writable location.
 
-The library is bound through :class:`ctypes.PyDLL`, which keeps the GIL
-held: each call is a few microseconds of work, and dropping and
-re-taking the GIL around it costs more than it frees.  The flags never
+Each library is bound through :class:`ctypes.PyDLL`, which keeps the
+GIL held: a call is one rung's pass or one net's routing, microseconds
+of work, and dropping and re-taking the GIL around it costs more than it
+frees.  The flags never
 include ``-ffast-math`` or ``-march=native``, and ``-ffp-contract=off``
-forbids fused multiply-adds, so the kernel's doubles are the ones
+forbids fused multiply-adds, so the kernels' doubles are the ones
 Python would compute.
 """
 
@@ -30,8 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-#: The kernel's source file, next to this module.
+#: The kernels' source files, next to this module: the anneal rung and
+#: the router.
 SOURCE = Path(__file__).with_name("_anneal.c")
+ROUTE_SOURCE = Path(__file__).with_name("_route.c")
 
 #: Compiler flags; part of the cache key.
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
@@ -61,7 +65,7 @@ def build(source: Path | None = None) -> Path:
     if cc is None:
         raise KernelBuildError(
             "compiling designs needs a C compiler: no `cc` on PATH to build "
-            f"the anneal kernel {source.name}"
+            f"the kernel {source.name}"
         )
     try:
         cached.parent.mkdir(exist_ok=True)
@@ -80,7 +84,7 @@ def _compile(cc: str, source: Path, target: Path) -> Path:
         )
         if proc.returncode:
             raise KernelBuildError(
-                f"building the anneal kernel {source.name} failed:\n"
+                f"building the kernel {source.name} failed:\n"
                 f"{proc.stderr}"
             )
         os.replace(tmp, target)
@@ -132,6 +136,42 @@ Rung = _struct("Rung", "Mirror of the kernel's ``Rung`` struct.", [
 ])
 
 
+#: The router's ``State`` struct: the occupancy of one routing pass.
+RouteState = _struct("RouteState", "Mirror of the router's ``State`` struct.", [
+    ("rows", int), ("cols", int),
+    ("r0", int), ("r1", int), ("c0", int), ("c1", int),
+    ("wire_net", _i32), ("depth", _i32), ("col_net", _i32), ("col_seq", _i64),
+    ("thru_net", _i32), ("row_mask", _i32), ("gate_dir", _i32),
+    ("thru_dir", _i32), ("thru_in", _i32), ("pend", _i32), ("n_pend", _i32),
+    ("n_assign", _i32), ("pend_out", _i32), ("committed", _i32),
+    ("opaque", _i32), ("logic", _i32), ("thru_key", _i32), ("gate_key", _i32),
+    ("history", _f64), ("undo", _i32), ("undo_cap", int), ("ctr", _i64),
+])
+
+#: The router's ``Search`` struct: the generation-stamped cost grid.
+RouteSearch = _struct("RouteSearch", "Mirror of the router's ``Search`` struct.", [
+    ("gcost", _f64), ("stamp", _i64), ("par", _i32), ("move", _i32),
+    ("gen", _i64),
+])
+
+#: The router's ``Net`` struct: one net's sinks and output journal.
+RouteNet = _struct("RouteNet", "Mirror of the router's ``Net`` struct.", [
+    ("net", int), ("src_cell", int), ("multi", int), ("is_output", int),
+    ("er", int), ("ec", int), ("n_sinks", int),
+    ("sinks", _i32), ("sink_col", _i32), ("wires", _i32), ("ops", _i32),
+    ("path", _i32), ("io", _i64), ("wire_cap", int), ("op_cap", int),
+])
+
+#: The router's ``Emit`` struct: one emission pass.
+RouteEmit = _struct("RouteEmit", "Mirror of the router's ``Emit`` struct.", [
+    ("n_gates", int), ("gate_cell", _i32), ("inputs", _i32), ("mode", _u8),
+    ("is_const", _u8), ("where", _i32), ("block", _u8),
+    ("active", int), ("tied", int), ("cut", int), ("drv_off", int),
+    ("drv_inv", int), ("off_driver", int), ("off_direction", int),
+    ("err", _i64),
+])
+
+
 def bind(struct_type, **fields):
     """A ``struct_type`` over numpy arrays (pointers) and ints.
 
@@ -155,23 +195,41 @@ def bind(struct_type, **fields):
     return s
 
 
+_P = ctypes.c_void_p
+
+#: Each kernel's exported functions: ``(name, restype, argtypes)``.
+_EXPORTS = {
+    SOURCE.name: (
+        ("windows", None, [_P, _P, _I]),
+        ("screen", _I, [_P, _P, _I]),
+        ("price", None, [_P, _P, _I]),
+        ("commit", _I, [_P, _P, _I, _I]),
+    ),
+    ROUTE_SOURCE.name: (
+        ("route_net", _I, [_P, _P, _P]),
+        ("replay_many", _I, [_P, _P, _P, _P, _I]),
+        ("apply", _I, [_P, _I, _P]),
+        ("rollback", None, [_P]),
+        ("passable", _I, [_P, _I, _I, _I, _I]),
+        ("free_rows", _I, [_P, _I]),
+        ("emit", _I, [_P, _P]),
+    ),
+}
+
 _lock = threading.Lock()
-_lib = None
+_libs: dict[Path, ctypes.PyDLL] = {}
 
 
-def load():
-    """The bound kernel library (built on first use)."""
-    global _lib
+def load(source: Path | None = None):
+    """The bound library of one kernel (default :data:`SOURCE`), built
+    on first use."""
+    source = source or SOURCE
     with _lock:
-        if _lib is None:
-            lib = ctypes.PyDLL(str(build()))
-            for fn, restype, extra in (
-                ("windows", None, [_I]),
-                ("screen", _I, [_I]),
-                ("price", None, [_I]),
-                ("commit", _I, [_I, _I]),
-            ):
-                getattr(lib, fn).argtypes = [ctypes.c_void_p] * 2 + extra
+        lib = _libs.get(source)
+        if lib is None:
+            lib = ctypes.PyDLL(str(build(source)))
+            for fn, restype, argtypes in _EXPORTS[source.name]:
+                getattr(lib, fn).argtypes = argtypes
                 getattr(lib, fn).restype = restype
-            _lib = lib
-    return _lib
+            _libs[source] = lib
+    return lib

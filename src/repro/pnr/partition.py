@@ -67,6 +67,7 @@ from repro.pnr.flow import (
 )
 from repro.pnr.parallel import parallel_map
 from repro.pnr.place import PlacementError, gate_levels
+from repro.pnr.route import RoutingState
 from repro.pnr.techmap import (
     CONST_GATE,
     MappedDesign,
@@ -770,7 +771,7 @@ def _estimate_side(design: MappedDesign, n_shards: int) -> int:
 
 
 def _resolve_channels(
-    partition: Partition, results: list[PnrResult]
+    partition: Partition, results: list[PnrResult], states: list[RoutingState]
 ) -> list[InterArrayChannel]:
     channels = []
     for net in sorted(partition.cut_nets):
@@ -784,9 +785,7 @@ def _resolve_channels(
             )
         # output_wires[net] is wire_name(*driven[0]) — see _build_result.
         driven = [w for w in route.wires if w != route.entry_wire]
-        source_cell = None
-        if driven and src_res.routing_state is not None:
-            source_cell = src_res.routing_state.driver_cell_of(driven[0])
+        source_cell = states[src].driver_cell_of(driven[0]) if driven else None
         sink_wires = {}
         for t in sinks:
             entry = results[t].input_wires.get(net)
@@ -813,6 +812,7 @@ def _system_timing(
     design: MappedDesign,
     partition: Partition,
     results: list[PnrResult],
+    states: list[RoutingState],
     channels: list[InterArrayChannel],
     target_period: int | None,
 ) -> TimingReport:
@@ -847,7 +847,7 @@ def _system_timing(
         reports.append(
             analyze_timing(
                 res.design, res.placement,
-                state=res.routing_state, routes=res.routes,
+                state=states[i], routes=res.routes,
                 target_period=period, input_arrivals=in_arr or None,
             )
         )
@@ -869,7 +869,7 @@ def _system_timing(
         res = results[i]
         reports[i] = analyze_timing(
             res.design, res.placement,
-            state=res.routing_state, routes=res.routes,
+            state=states[i], routes=res.routes,
             target_period=period, input_arrivals=arrivals_in[i] or None,
             output_tails=tails,
         )
@@ -882,7 +882,7 @@ def _system_timing(
         src = ch.source_shard
         up = trace_endpoint(
             results[src].design, results[src].placement,
-            state=results[src].routing_state, routes=results[src].routes,
+            state=states[src], routes=results[src].routes,
             input_arrivals=arrivals_in[src] or None, endpoint=ch.net,
         )
         crossing = PathStep(
@@ -931,7 +931,7 @@ def _compile_shards(
     target_period: int | None,
     max_side: int | None,
     workers: int | None,
-) -> list[PnrResult]:
+) -> list[tuple[PnrResult, RoutingState]]:
     """Compile every shard of a partition, concurrently when asked.
 
     Per-shard place/route/time/emit are fully independent — each shard
@@ -939,12 +939,14 @@ def _compile_shards(
     routing state — so they fan out through
     :func:`repro.pnr.parallel.parallel_map` on a thread pool
     (``workers=None`` auto-sizes it to ``min(shards, cpu_count)``;
-    ``0``/``1`` compile serially).  Results are returned in shard order
-    and are bit-identical for any worker count; the first shard failure
+    ``0``/``1`` compile serially).  Results, each with its router's
+    final state (kept in-process for system timing and channel
+    attribution, never persisted), are returned in shard order and are
+    bit-identical for any worker count; the first shard failure
     propagates as :class:`repro.pnr.flow.PnrError`.
     """
 
-    def compile_one(item: tuple[int, MappedDesign]) -> PnrResult:
+    def compile_one(item: tuple[int, MappedDesign]):
         i, sub = item
         return _compile_mapped(
             sub, shard_source_netlist(sub),
@@ -1010,7 +1012,7 @@ def compile_sharded(
     for n in range(n0, n_hi + 1):
         partition = partition_design(design, n, refine=refine, max_side=max_side)
         try:
-            results = _compile_shards(
+            compiled = _compile_shards(
                 partition, seed=seed, anneal_steps=anneal_steps,
                 max_attempts=max_attempts, target_period=target_period,
                 max_side=max_side, workers=workers,
@@ -1020,9 +1022,11 @@ def compile_sharded(
             if auto:
                 continue  # more shards -> smaller shards -> may fit
             raise
-        channels = _resolve_channels(partition, results)
+        results = [res for res, _ in compiled]
+        states = [state for _, state in compiled]
+        channels = _resolve_channels(partition, results, states)
         timing = _system_timing(
-            design, partition, results, channels, target_period
+            design, partition, results, states, channels, target_period
         )
         stats = ShardedPnrStats(
             n_shards=n,

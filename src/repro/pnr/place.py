@@ -49,6 +49,11 @@ class PlacementError(RuntimeError):
     """The design does not fit the region, or has unroutable feedback."""
 
 
+class _PinnedWindowError(PlacementError):
+    """A gate whose fan-ins and fan-outs are all fixed has no
+    dominance-legal cell: no tie-break variant can open its window."""
+
+
 @dataclass
 class Placement:
     """Gate positions inside a region.
@@ -155,24 +160,51 @@ def dominance_violations(design: MappedDesign, placement: Placement) -> int:
     return bad
 
 
-def net_hpwl(design: MappedDesign, placement: Placement, net: str) -> int:
-    """Half-perimeter of one net's bounding box (source + sinks)."""
-    pos = placement.positions
-    pts = [pos[g] for g, _ in design.sinks_of.get(net, ())]
-    src = design.source_of.get(net)
-    if src is not None:
-        r, c = pos[src]
-        pts.append((r, c + design.gates[src].width - 1))
-    if len(pts) < 2:
-        return 0
-    rs = [p[0] for p in pts]
-    cs = [p[1] for p in pts]
-    return (max(rs) - min(rs)) + (max(cs) - min(cs))
+def _net_pins(design: MappedDesign):
+    """Every net with sinks as ``(nets, gate names, sink gates, segment
+    starts, source gate or -1, source column offset)``, gates by their
+    index in design order.  Cached per design."""
+    def compute(d):
+        names = list(d.gates)
+        index = {g: k for k, g in enumerate(names)}
+        sinks_of = d.sinks_of
+        nets = [net for net, sinks in sinks_of.items() if sinks]
+        lens = np.array([len(sinks_of[net]) for net in nets], np.intp)
+        sinks = [index[g] for net in nets for g, _ in sinks_of[net]]
+        src = [index.get(d.source_of.get(net), -1) for net in nets]
+        off = [d.gates[names[k]].width - 1 if k >= 0 else 0 for k in src]
+        return (
+            nets, names, np.array(sinks, np.intp), np.cumsum(lens) - lens,
+            np.array(src, np.intp), np.array(off, np.intp),
+        )
+
+    return design.memo("net_pins", compute)
+
+
+def net_spans(design: MappedDesign, placement: Placement) -> dict[str, int]:
+    """Half-perimeter of every net's bounding box (source + sinks), for
+    each net with sinks, in one vectorised pass."""
+    nets, names, sinks, starts, src, off = _net_pins(design)
+    if not nets:
+        return {}
+    positions = placement.positions
+    pos = np.array([positions[g] for g in names], np.intp).reshape(-1, 2)
+    rows, cols = pos[sinks, 0], pos[sinks, 1]
+    r_hi, r_lo = np.maximum.reduceat(rows, starts), np.minimum.reduceat(rows, starts)
+    c_hi, c_lo = np.maximum.reduceat(cols, starts), np.minimum.reduceat(cols, starts)
+    # The source pin is the source gate's output cell.
+    driven = src >= 0
+    sr, sc = pos[src[driven], 0], pos[src[driven], 1] + off[driven]
+    r_hi[driven] = np.maximum(r_hi[driven], sr)
+    r_lo[driven] = np.minimum(r_lo[driven], sr)
+    c_hi[driven] = np.maximum(c_hi[driven], sc)
+    c_lo[driven] = np.minimum(c_lo[driven], sc)
+    return dict(zip(nets, ((r_hi - r_lo) + (c_hi - c_lo)).tolist()))
 
 
 def hpwl(design: MappedDesign, placement: Placement) -> int:
     """Total half-perimeter wirelength over all placed nets."""
-    return sum(net_hpwl(design, placement, net) for net in design.sinks_of)
+    return sum(net_spans(design, placement).values())
 
 
 def initial_placement(
@@ -243,6 +275,8 @@ def initial_placement(
             )
         except PlacementError as e:
             last = e
+            if isinstance(e, _PinnedWindowError):
+                break  # no other tie-break can open this window
     raise last
 
 
@@ -319,10 +353,12 @@ def _seed_once(
         width = gate.width
         min_r, min_c = row0, col0
         fan_rows, fan_cols = [], []
+        fan_ins_fixed = True
         for net in gate.inputs:
             src = design.source_of.get(net)
             if src is None or src == name:
                 continue
+            fan_ins_fixed = fan_ins_fixed and src in fixed
             sr, sc = placement.output_cell(design.gates[src])
             min_r = max(min_r, sr)
             min_c = max(min_c, sc)
@@ -352,7 +388,10 @@ def _seed_once(
                 if pos[1] - (width - 1) < hi_c:
                     hi_c = pos[1] - (width - 1)
             if hi_r < lo_r or hi_c < lo_c:
-                raise PlacementError(
+                # Fan-outs come later in level order, so the pre-placed
+                # ones are fixed; with fixed fan-ins too, every variant
+                # that gets this far fails here.
+                raise (_PinnedWindowError if fan_ins_fixed else PlacementError)(
                     f"gate {name!r}: no dominance-legal window between its "
                     "fan-ins and pre-placed fan-outs"
                 )

@@ -26,9 +26,11 @@ straight channels to arbitrary nets:
   occupies over burning fresh blanks, and rip-up-and-retry passes that
   reroute failed nets first while *replaying* the rest from their
   committed claim journals;
-* all A* searches share one preallocated, generation-stamped cost grid
-  and a numpy congestion-history array — no per-net allocation (see
-  ``docs/performance.md``).
+* the occupancy is a set of flat arrays (:class:`RoutingState`), and the
+  A* search, path commits and journal replays run in a C kernel
+  (``_route.c``, built and loaded by :mod:`repro.pnr.kernel`); every
+  search shares one generation-stamped cost grid — no per-net
+  allocation (see ``docs/performance.md``).
 
 Routing is monotone by construction — rows drive east or north only —
 so every search is confined to the dominance quadrant between source
@@ -37,34 +39,42 @@ and sink, and routed netlists can never acquire feedback.
 
 from __future__ import annotations
 
-import heapq
+import ctypes
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.fabric.floorplan import Region
 from repro.fabric.nandcell import N_INPUTS, N_ROWS, Direction
+from repro.pnr import kernel
 from repro.pnr.parallel import checkpoint
-from repro.pnr.place import Placement
+from repro.pnr.place import Placement, net_spans
 from repro.pnr.techmap import (
     MappedDesign,
-    MappedGate,
     PAIR_CELEMENT,
     PAIR_EVENTLATCH,
 )
 
+#: Owner of an unclaimed wire or input column.  Nets own wires and
+#: columns by their id (see :func:`net_ids`); the reserved owners below
+#: it block a wire for every net.
+FREE = -1
+
 #: Wire owner marking a pair macro's internal product lines.
-MACRO_OWNER = "__macro__"
+MACRO_OWNER = -2
 
 #: Wire owner marking wires already driven or read by pre-existing
 #: configuration on the target array (e.g. another floorplan region).
-EXISTING_OWNER = "__existing__"
+EXISTING_OWNER = -3
 
 #: Wire owner marking dead wire segments of a per-die defect map
 #: (:class:`repro.pnr.defects.DefectMap`): pre-claimed before any net
 #: routes, so both fresh A* searches and warm journal replays treat
 #: them as permanently occupied.
-DEFECT_OWNER = "__defect__"
+DEFECT_OWNER = -4
 
 #: Product rows a pair macro drives into its collector cell (cell B
 #: columns), by kind — these wires are consumed at placement time.
@@ -73,18 +83,19 @@ PAIR_INTERNAL_ROWS: dict[str, int] = {
     PAIR_EVENTLATCH: 5,
 }
 
-#: Free-row tuples by used-row bitmask: ``_ROWS_BY_MASK[mask]`` lists the
-#: rows whose bit is clear — the O(1) lookup behind
-#: :meth:`RoutingState.free_rows`.
-_ROWS_BY_MASK: tuple[tuple[int, ...], ...] = tuple(
-    tuple(r for r in range(N_ROWS) if not mask >> r & 1)
+#: Journal op codes (the first int of each op; see :class:`NetRoute`).
+OP_ENTRY, OP_ENTRY_FRONT, OP_DRIVE, OP_THRU, OP_COL = range(5)
+
+#: Free-row tuples by free-row bitmask.
+_ROWS_OF_MASK: tuple[tuple[int, ...], ...] = tuple(
+    tuple(r for r in range(N_ROWS) if mask >> r & 1)
     for mask in range(1 << N_ROWS)
 )
 
+#: ``route_net`` results (see ``_route.c``).
+_OK, _NO_COLUMN, _NO_PATH, _NO_TAP, _PI_TAP, _NO_MEMORY = range(6)
 
-def _clear_row_bit(mask: dict, cell, row: int) -> None:
-    """Undo of :meth:`RoutingState._mark_row`."""
-    mask[cell] &= ~(1 << row)
+assert array("i").itemsize == 4, "journals are int32 arrays"
 
 
 class RoutingError(RuntimeError):
@@ -96,9 +107,14 @@ class NetRoute:
     """Everything one routed net occupies.
 
     ``ops`` is the net's commit journal — the ordered resource claims
-    (entry wires, source-row drives, feed-through hops, sink column
-    landings) that produced the route.  A later router pass replays the
-    journal verbatim when the net's endpoints have not moved, instead of
+    that produced the route, as one flat ``array('i')``.  Each op is its
+    code then its integers: ``OP_ENTRY`` / ``OP_ENTRY_FRONT`` and the
+    wire ``r, c, i`` (a primary-input entry); ``OP_DRIVE``, the wire,
+    the source cell ``r, c``, the row and its direction (a source-row
+    drive); ``OP_THRU``, the wire, the cell, the column it reads, the row
+    and its direction (a feed-through hop); ``OP_COL``, the sink cell
+    and the column it lands on.  A later router pass replays the journal
+    verbatim when the net's endpoints have not moved, instead of
     searching again (see :meth:`Router.route_design`).
     """
 
@@ -106,7 +122,7 @@ class NetRoute:
     wires: list[tuple[int, int, int]] = field(default_factory=list)
     entry_wire: tuple[int, int, int] | None = None
     sink_cols: dict[tuple[str, int], int] = field(default_factory=dict)
-    ops: list[tuple] = field(default_factory=list, repr=False)
+    ops: array = field(default_factory=lambda: array("i"), repr=False)
 
     @property
     def wirelength(self) -> int:
@@ -114,8 +130,98 @@ class NetRoute:
         return len(self.wires)
 
 
+def net_ids(design: MappedDesign) -> dict[str, int]:
+    """Every net a gate reads or drives, interned to a dense id (cached
+    per design)."""
+    def compute(d):
+        names = dict.fromkeys(chain(
+            d.nets(), chain.from_iterable(g.inputs for g in d.gates.values())
+        ))
+        return dict(zip(names, range(len(names))))
+
+    return design.memo("route_net_ids", compute)
+
+
+def net_wire_bound(design: MappedDesign, shape: tuple[int, int]) -> int:
+    """The most wires one net can claim: routing is monotone, so each
+    sink's path is at most ``rows + cols + 1`` wires, plus an output tap
+    and its entry."""
+    sinks = max(map(len, design.sinks_of.values()), default=0)
+    return (sinks + 1) * (shape[0] + shape[1] + 2)
+
+
+class GateTable(NamedTuple):
+    """The gates of a design as arrays (see :func:`gate_table`)."""
+
+    #: Gate names, in design order.
+    names: list[str]
+    #: Width in cells per gate.
+    widths: np.ndarray
+    #: ``(gates, 6)`` input net ids per pin (see :func:`net_ids`),
+    #: padded with -2.
+    inputs: np.ndarray
+    #: True for the pair macros, whose input columns are pinned.
+    pinned: np.ndarray
+
+
+def gate_table(design: MappedDesign) -> GateTable:
+    """The gates of ``design`` as arrays (cached per design)."""
+    def compute(d):
+        ids = net_ids(d)
+        gates = list(d.gates.values())
+        lens = np.array([len(g.inputs) for g in gates], np.intp)
+        flat = [ids[net] for g in gates for net in g.inputs]
+        inputs = np.full((len(gates), N_INPUTS), -2, np.int32)
+        starts = np.cumsum(lens) - lens
+        inputs[
+            np.repeat(np.arange(len(gates)), lens),
+            np.arange(len(flat)) - np.repeat(starts, lens),
+        ] = flat
+        return GateTable(
+            names=[g.name for g in gates],
+            widths=np.array([g.width for g in gates], np.intp),
+            inputs=inputs,
+            pinned=np.array([g.pin_columns is not None for g in gates], bool),
+        )
+
+    return design.memo("gate_table", compute)
+
+
 class RoutingState:
-    """Occupancy of cells, rows, columns and wires during routing."""
+    """Occupancy of cells, rows, columns and wires during routing.
+
+    Flat arrays, indexed by cell id ``r * cols + c``, by ``cell id * 6 +
+    k`` for a cell's column or row ``k``, or by wire id ``(r * (cols +
+    1) + c) * 6 + i`` over the ``(rows + 1, cols + 1, 6)`` wire grid.
+    Nets are their :func:`net_ids`.  The router's kernel
+    (``_route.c``) reads and writes them through :attr:`ref`; every
+    write of the net in flight is undo-logged as ``(buffer, index, old
+    value)``, so a net that fails rolls back exactly what it claimed.
+
+    ``wire_net`` (owner per wire), ``depth`` (feed-through hops per
+    wire, recorded at commit and replay), ``col_net`` / ``col_seq``
+    (owner and claim order per cell column), ``thru_net`` (the net a
+    column's feed-throughs read), ``gate_dir`` / ``thru_dir`` /
+    ``thru_in`` (per cell row: direction, or -1, and the column a
+    feed-through reads), ``row_mask`` (rows in use), ``pend`` /
+    ``n_pend`` (input nets a gate still needs a column for: capacity
+    through-traffic must not consume), ``pend_out`` (a gate output cell
+    still owed its row), ``committed`` (no row free: pair product cells
+    and dead cells), ``opaque`` (no net passes), ``logic`` (a gate sits
+    here), ``thru_key`` / ``gate_key`` (a row of that kind was ever
+    claimed here, kept through rollbacks).
+    """
+
+    #: The int32 fields: ``(name, extent, initial value)``, extent ``w``
+    #: per wire, ``k`` per cell column or row, ``c`` per cell.
+    _LAYOUT = (
+        ("wire_net", "w", FREE), ("col_net", "k", FREE),
+        ("thru_net", "k", FREE), ("gate_dir", "k", -1), ("thru_dir", "k", -1),
+        ("thru_in", "k", -1), ("pend", "k", FREE), ("depth", "w", 0),
+        ("row_mask", "c", 0), ("n_pend", "c", 0), ("n_assign", "c", 0),
+        ("pend_out", "c", 0), ("committed", "c", 0), ("opaque", "c", 0),
+        ("logic", "c", 0), ("thru_key", "c", 0), ("gate_key", "c", 0),
+    )
 
     def __init__(
         self,
@@ -125,40 +231,35 @@ class RoutingState:
         region: Region,
         array=None,
         defects=None,
+        history: np.ndarray | None = None,
     ) -> None:
         self.design = design
         self.placement = placement
-        self.n_rows, self.n_cols = shape
+        self.n_rows, self.n_cols = rows, cols = shape
         self.region = region
         self.defects = defects
-        #: (r, c) -> gate name for cells a gate occupies.
-        self.logic_cells: dict[tuple[int, int], str] = {}
-        #: Pair-macro cells: fully committed, never shared with routing.
-        self.opaque: set[tuple[int, int]] = set()
-        #: (r, c) -> bitmask of driver rows in use (gate + feed-through):
-        #: the O(1) source of :meth:`free_rows`.
-        self._row_mask: dict[tuple[int, int], int] = {}
-        #: Pair product cells whose rows are all spoken for.
-        self._pair_committed: set[tuple[int, int]] = set()
-        #: (r, c) -> {row: Direction} of gate fan-out (function) rows.
-        self.gate_rows: dict[tuple[int, int], dict[int, Direction]] = {}
-        #: (r, c) -> {row: (in_col, Direction)} of feed-through rows.
-        self.thru_rows: dict[tuple[int, int], dict[int, tuple[int, Direction]]] = {}
-        #: ((r, c), net) -> the input column the net reads at that cell.
-        self.thru_col: dict[tuple[tuple[int, int], str], int] = {}
-        #: (r, c) -> {column: net} of claimed input columns (gate pins
-        #: and feed-through reads alike).
-        self.col_assign: dict[tuple[int, int], dict[int, str]] = {}
-        #: (r, c, i) -> owning net (or MACRO_OWNER).
-        self.wire_net: dict[tuple[int, int, int], str] = {}
-        #: Undo journal for the net currently being routed.
-        self._undo: list = []
-        #: (r, c) -> input nets a gate still needs columns for: reserved
-        #: capacity through-traffic must not consume.
-        self.pending_inputs: dict[tuple[int, int], set[str]] = {}
-        #: Gate output cells that have not committed a fan-out row yet:
-        #: one row stays reserved for them.
-        self.pending_output: set[tuple[int, int]] = set()
+        self.net_ids = ids = net_ids(design)
+        #: Net names by id.
+        self.net_names = list(ids)
+        n_cells = rows * cols
+        extent = {
+            "w": (rows + 1) * (cols + 1) * N_INPUTS,
+            "k": n_cells * N_INPUTS,
+            "c": n_cells,
+        }
+        self.arrays = {
+            name: np.full(extent[size], init, np.int32)
+            for name, size, init in self._LAYOUT
+        }
+        self.arrays["col_seq"] = col_seq = np.zeros(n_cells * N_INPUTS, np.int64)
+        vars(self).update(self.arrays)
+        a = self.arrays
+        wire_net, col_net, row_mask, pend = (
+            a["wire_net"], a["col_net"], a["row_mask"], a["pend"]
+        )
+        n_pend, n_assign, pend_out = a["n_pend"], a["n_assign"], a["pend_out"]
+        committed, opaque, logic = a["committed"], a["opaque"], a["logic"]
+        stride = (cols + 1) * N_INPUTS
 
         # Defect pre-claims go in before any gate or existing-config
         # claim: dead wires become permanently owned, dead cells opaque
@@ -169,34 +270,71 @@ class RoutingState:
         # re-searches — exactly the repair semantics of
         # :func:`repro.pnr.defects.repair_for_die`.
         if defects is not None:
-            for w in defects.dead_wires:
-                self.wire_net[w] = DEFECT_OWNER
-            for cell in defects.dead_cells:
-                self.opaque.add(cell)
-                self._pair_committed.add(cell)
-            for dr, dc, row in defects.stuck_rows:
-                cell = (dr, dc)
-                self._row_mask[cell] = self._row_mask.get(cell, 0) | 1 << row
+            for r, c, i in defects.dead_wires:
+                wire_net[r * stride + c * N_INPUTS + i] = DEFECT_OWNER
+            for r, c in defects.dead_cells:
+                opaque[r * cols + c] = committed[r * cols + c] = 1
+            for r, c, row in defects.stuck_rows:
+                row_mask[r * cols + c] |= 1 << row
 
-        for gate in design.gates.values():
-            for cell in placement.cells_of(gate):
-                self.logic_cells[cell] = gate.name
-            in_cell = placement.input_cell(gate)
-            self.pending_output.add(placement.output_cell(gate))
-            cols = gate.pin_columns
-            if cols is None:
-                self.pending_inputs[in_cell] = set(gate.inputs)
-            if cols is not None:
-                self.opaque.update(placement.cells_of(gate))
-                self._pair_committed.add(in_cell)
-                assign = self.col_assign.setdefault(in_cell, {})
-                for pin, col in enumerate(cols):
-                    assign[col] = gate.inputs[pin]
-                r, c = in_cell
-                for row in range(PAIR_INTERNAL_ROWS[gate.kind]):
-                    self.wire_net[(r, c + 1, row)] = MACRO_OWNER
+        table = gate_table(design)
+        positions = placement.positions
+        pos = np.array(
+            [positions[g] for g in table.names], np.intp
+        ).reshape(-1, 2)
+        cell = pos[:, 0] * cols + pos[:, 1]
+        widths = table.widths
+        logic[cell] = 1
+        logic[cell[widths == 2] + 1] = 1
+        pend_out[cell + widths - 1] = 1
+        # A flexible gate owes a column to each distinct input net.
+        inputs = table.inputs
+        owed = (inputs >= 0) & ~table.pinned[:, None]
+        for j in range(1, N_INPUTS):
+            owed[:, j] &= ~(inputs[:, :j] == inputs[:, j:j + 1]).any(axis=1)
+        n_pend[cell] = owed.sum(axis=1)
+        slots = np.where(owed, inputs, FREE)
+        pend.reshape(-1, N_INPUTS)[cell] = slots
+        names = table.names
+        pairs = [
+            (k, design.gates[names[k]]) for k in np.flatnonzero(table.pinned)
+        ]
+        seq = 0
+        for k, gate in pairs:
+            r, c = pos[k].tolist()
+            opaque[cell[k]:cell[k] + gate.width] = 1
+            committed[cell[k]] = 1
+            for pin, col in enumerate(gate.pin_columns):
+                j = cell[k] * N_INPUTS + col
+                if col_net[j] == FREE:
+                    n_assign[cell[k]] += 1
+                    col_seq[j] = seq
+                    seq += 1
+                col_net[j] = ids[gate.inputs[pin]]
+            w = r * stride + (c + 1) * N_INPUTS
+            wire_net[w:w + PAIR_INTERNAL_ROWS[gate.kind]] = MACRO_OWNER
         if array is not None:
             self._claim_existing(array)
+        #: [undo entries, next column claim stamp]
+        self.ctr = np.array([0, seq], np.int64)
+        self.history = np.zeros(n_cells) if history is None else history
+        reg = region
+        # The undo log holds one net's claims: at most 9 entries per
+        # wire (a monotone path per sink and an output tap) and 4 per
+        # sink landing.
+        sinks = max(map(len, design.sinks_of.values()), default=0)
+        cap = 9 * net_wire_bound(design, shape) + 4 * sinks + 64
+        self._c = kernel.bind(
+            kernel.RouteState,
+            rows=rows, cols=cols,
+            r0=reg.row, r1=reg.row + reg.n_rows,
+            c0=reg.col, c1=reg.col + reg.n_cols,
+            history=self.history, undo=np.empty(3 * cap, np.int32),
+            undo_cap=cap, ctr=self.ctr, **self.arrays,
+        )
+        #: The address of the kernel's view of this state.
+        self.ref = ctypes.addressof(self._c)
+        self._lib = kernel.load(kernel.ROUTE_SOURCE)
 
     def _claim_existing(self, array) -> None:
         """Reserve wires another configuration already drives or reads.
@@ -207,86 +345,28 @@ class RoutingState:
         from repro.fabric.driver import DriverMode
         from repro.fabric.nandcell import Direction as Dir, InputSource
 
+        wire_net = self.arrays["wire_net"]
         for r, c in array.configured_cells():
             cfg = array.cell(r, c)
             for row in cfg.used_rows():
                 if cfg.drivers[row] is not DriverMode.OFF:
-                    target = (
-                        (r, c + 1, row)
+                    w = (
+                        self.wire_id(r, c + 1, row)
                         if cfg.directions[row] is Dir.EAST
-                        else (r + 1, c, row)
+                        else self.wire_id(r + 1, c, row)
                     )
-                    self.wire_net.setdefault(target, EXISTING_OWNER)
+                    if wire_net[w] == FREE:
+                        wire_net[w] = EXISTING_OWNER
                 for col in cfg.active_columns(row):
                     if cfg.input_select[col] is InputSource.ABUT:
-                        self.wire_net.setdefault((r, c, col), EXISTING_OWNER)
+                        w = self.wire_id(r, c, col)
+                        if wire_net[w] == FREE:
+                            wire_net[w] = EXISTING_OWNER
 
-    # -- transactional routing -----------------------------------------
-    # All occupancy mutations go through the journaled mutators below,
-    # so a net that fails mid-route undoes exactly what it wrote.  A
-    # journal entry is ``(function, *args)`` over module-level functions
-    # and unbound methods: the success path records a handful of tuples,
-    # neither copying the state per net nor allocating closures.
-
-    def begin_net(self) -> None:
-        """Start recording mutations for one net."""
-        self._undo: list = []
-
-    def commit_net(self) -> None:
-        """The net routed: drop its undo journal."""
-        self._undo = []
-
-    def rollback_net(self) -> None:
-        """Undo every mutation recorded since :meth:`begin_net`."""
-        for fn, *args in reversed(self._undo):
-            fn(*args)
-        self._undo = []
-
-    def claim_wire(self, w: tuple[int, int, int], net: str) -> None:
-        self.wire_net[w] = net
-        self._undo.append((dict.pop, self.wire_net, w, None))
-
-    def add_gate_row(self, cell, row: int, direction: Direction) -> None:
-        rows = self.gate_rows.setdefault(cell, {})
-        rows[row] = direction
-        self._mark_row(cell, row)
-        self._undo.append((dict.pop, rows, row, None))
-        if cell in self.pending_output:
-            self.pending_output.discard(cell)
-            self._undo.append((set.add, self.pending_output, cell))
-
-    def add_thru_row(self, cell, net: str, in_col: int, row: int, direction) -> None:
-        if (cell, net) not in self.thru_col:
-            self.thru_col[(cell, net)] = in_col
-            self._undo.append((dict.pop, self.thru_col, (cell, net), None))
-        self.assign_col(cell, in_col, net)
-        rows = self.thru_rows.setdefault(cell, {})
-        rows[row] = (in_col, direction)
-        self._mark_row(cell, row)
-        self._undo.append((dict.pop, rows, row, None))
-
-    def _mark_row(self, cell, row: int) -> None:
-        mask = self._row_mask
-        mask[cell] = mask.get(cell, 0) | 1 << row
-        self._undo.append((_clear_row_bit, mask, cell, row))
-
-    def assign_col(self, cell, col: int, net: str) -> None:
-        assign = self.col_assign.setdefault(cell, {})
-        if col not in assign:
-            assign[col] = net
-            self._undo.append((dict.pop, assign, col, None))
-        pending = self.pending_inputs.get(cell)
-        if pending is not None and net in pending:
-            pending.discard(net)
-            self._undo.append((set.add, pending, net))
-
-    # -- geometry helpers ----------------------------------------------
-    def in_region(self, r: int, c: int) -> bool:
-        """True when cell (r, c) may be used for routing."""
-        return (
-            self.region.row <= r < self.region.row + self.region.n_rows
-            and self.region.col <= c < self.region.col + self.region.n_cols
-        )
+    # -- queries ---------------------------------------------------------
+    def wire_id(self, r: int, c: int, i: int) -> int:
+        """The index of ``w[r][c][i]`` in the per-wire arrays."""
+        return (r * (self.n_cols + 1) + c) * N_INPUTS + i
 
     def wire_exists(self, r: int, c: int, i: int) -> bool:
         """True when ``w[r][c][i]`` is a wire of this array."""
@@ -294,44 +374,18 @@ class RoutingState:
 
     def wire_free(self, w: tuple[int, int, int]) -> bool:
         """True when nothing drives or claims the wire."""
-        return w not in self.wire_net
+        return self.arrays["wire_net"][self.wire_id(*w)] == FREE
 
     def free_rows(self, cell: tuple[int, int]) -> tuple[int, ...]:
         """Rows still available for drivers on a cell."""
-        if cell in self._pair_committed:
-            return ()  # the pair's product cell is fully committed
-        return _ROWS_BY_MASK[self._row_mask.get(cell, 0)]
+        r, c = cell
+        return _ROWS_OF_MASK[self._lib.free_rows(self.ref, r * self.n_cols + c)]
 
     def cell_passable(self, cell: tuple[int, int], net: str, in_col: int) -> bool:
         """Can ``net`` pass through ``cell`` reading column ``in_col``?"""
-        if not self.in_region(*cell) or cell in self.opaque:
-            return False
-        existing = self.thru_col.get((cell, net))
-        if existing is not None:
-            return in_col == existing
-        owner = self.col_assign.get(cell, {}).get(in_col)
-        if owner is not None:
-            # The column where this very net already lands as a gate
-            # input may forward it; anything else is taken.
-            return owner == net
-        # A fresh column claim must leave enough free columns for the
-        # cell's own unrouted gate inputs (unless this net is one).
-        pending = self.pending_inputs.get(cell)
-        if pending and net not in pending:
-            free = N_INPUTS - len(self.col_assign.get(cell, {}))
-            return free > len(pending)
-        return True
-
-    def thru_rows_available(self, cell: tuple[int, int]) -> tuple[int, ...]:
-        """Rows through-traffic may take: keeps one for an undriven gate."""
-        rows = self.free_rows(cell)
-        if cell in self.pending_output and len(rows) <= 1:
-            return ()
-        return rows
-
-    def is_route_only(self, cell: tuple[int, int]) -> bool:
-        """True for cells burned purely as interconnect."""
-        return cell in self.thru_rows and cell not in self.logic_cells
+        return bool(
+            self._lib.passable(self.ref, *cell, self.net_ids[net], in_col)
+        )
 
     def driver_cell_of(self, wire: tuple[int, int, int]) -> tuple[int, int] | None:
         """The cell whose committed row drives ``wire`` (None if undriven).
@@ -347,37 +401,32 @@ class RoutingState:
             ((r, c - 1), Direction.EAST),
             ((r - 1, c), Direction.NORTH),
         ):
-            if cell[0] < 0 or cell[1] < 0:
+            if not (0 <= cell[0] < self.n_rows and 0 <= cell[1] < self.n_cols):
                 continue
-            if self.gate_rows.get(cell, {}).get(i) is direction:
-                return cell
-            thru = self.thru_rows.get(cell, {}).get(i)
-            if thru is not None and thru[1] is direction:
+            k = (cell[0] * self.n_cols + cell[1]) * N_ROWS + i
+            if direction in (self.gate_dir[k], self.thru_dir[k]):
                 return cell
         return None
 
-    def output_candidates(self, gate: MappedGate) -> tuple[tuple[int, int], list[int]]:
-        """(output cell, free rows) a gate can drive its net from."""
-        cell = self.placement.output_cell(gate)
-        return cell, self.free_rows(cell)
+    def apply(self, net: str, op: tuple[int, ...]) -> None:
+        """Commit one journal op for ``net`` unchecked (undo-logged)."""
+        buf = array("i", op)
+        self._lib.apply(self.ref, self.net_ids[net], buf.buffer_info()[0])
 
-
-def _wire_after(cell: tuple[int, int], row: int, direction: Direction) -> tuple[int, int, int]:
-    r, c = cell
-    if direction is Direction.EAST:
-        return (r, c + 1, row)
-    return (r + 1, c, row)
+    def rollback_net(self) -> None:
+        """Undo every claim of the net in flight."""
+        self._lib.rollback(self.ref)
 
 
 class Router:
-    """Maze-routes every net of a placed design."""
+    """Maze-routes every net of a placed design.
 
-    #: Cost of a hop through a cell this net already reads.
-    REUSE_COST = 1.0
-    #: Cost of sharing a cell something else (logic, another net) uses.
-    SHARE_COST = 1.5
-    #: Cost of burning a fresh blank cell as a feed-through.
-    FRESH_COST = 2.0
+    The search, path commits and journal replays run in the router's C
+    kernel (``_route.c``, built by :mod:`repro.pnr.kernel`); a hop
+    through a cell costs 1.0 where the net already reads the cell, 1.5
+    where anything else uses it and 2.0 on a fresh blank, plus the
+    cell's congestion history.
+    """
 
     def __init__(
         self,
@@ -395,59 +444,71 @@ class Router:
         self.placement = placement
         self.shape = shape
         self.region = region
-        #: Per-die defect map (see :mod:`repro.pnr.defects`): threaded
-        #: into every :class:`RoutingState` this router builds, so the
-        #: rip-up rebuilds keep the same blocked resources.
         self.defects = defects
         self.max_passes = max_passes
+        self.lib = kernel.load(kernel.ROUTE_SOURCE)
+        rows, cols = shape
+        #: Per-cell congestion history, grown between rip-up passes so
+        #: later passes spread traffic away from contested cells
+        #: (a light take on PathFinder's negotiated congestion).
+        self.history = np.zeros(rows * cols)
+        # Every pass starts from a freshly pre-claimed state.
         self.array = array
-        self.state = RoutingState(
-            design, placement, shape, region, array=array, defects=defects
-        )
+        self.state = self._fresh_state()
         self.routes: dict[str, NetRoute] = {}
         #: Warm-start accounting for the current/last ``route_design``:
         #: how many nets replayed their journal vs paid for an A* search
         #: (repair benchmarks report the replay fraction from these).
         self.n_replayed = 0
         self.n_searched = 0
-        #: Per-cell congestion history, grown between rip-up passes so
-        #: later passes spread traffic away from contested cells
-        #: (a light take on PathFinder's negotiated congestion) — a
-        #: numpy grid so charging and lookups stay cheap.
-        self.history = np.zeros(shape, dtype=np.float64)
         #: Routes from a previous compile of (almost) this placement:
         #: a net none of whose endpoint gates appear in ``warm_moved``
         #: replays its journal instead of searching (see ``route_design``).
         self.warm_routes = warm_routes or {}
         self.warm_moved = warm_moved if warm_moved is not None else set()
         self._use_warm = bool(self.warm_routes)
-        # One preallocated search grid, reused by every A* call: slots
-        # are valid only when their generation stamp matches the current
-        # search, so "clearing" between nets is a counter increment —
-        # no per-net dict allocation or snapshot copies.
-        nr, nc = shape
-        self._nid_cols = nc + 1
-        n_nodes = (nr + 1) * (nc + 1) * N_INPUTS
-        self._gcost: list[float] = [0.0] * n_nodes
-        self._parent: list[tuple | None] = [None] * n_nodes
-        self._stamp: list[int] = [0] * n_nodes
-        self._generation = 0
+        self._ids = self.state.net_ids
+        self._plans: dict[str, tuple] = {}
+        self._routable: list[str] | None = None
+        # One search grid and one journal buffer, reused by every net:
+        # grid slots are valid only where their generation stamp matches
+        # the current search, so "clearing" is a counter increment.
+        n_wires = (rows + 1) * (cols + 1) * N_INPUTS
+        max_sinks = max(map(len, design.sinks_of.values()), default=0)
+        wire_cap = net_wire_bound(design, shape)
+        op_cap = 9 * wire_cap + 4 * max_sinks
+        i32 = np.int32
+        self._search = kernel.bind(
+            kernel.RouteSearch, gcost=np.zeros(n_wires),
+            stamp=np.zeros(n_wires, np.int64), par=np.zeros(n_wires, i32),
+            move=np.zeros(n_wires, i32), gen=np.zeros(1, np.int64),
+        )
+        self._net = kernel.bind(
+            kernel.RouteNet, sinks=np.zeros(0, i32),
+            sink_col=np.zeros(max_sinks, i32),
+            wires=np.empty(3 * wire_cap, i32), ops=np.empty(op_cap, i32),
+            path=np.empty(wire_cap, i32), io=np.zeros(5 + N_INPUTS, np.int64),
+            wire_cap=wire_cap, op_cap=op_cap,
+        )
+        self._refs = (ctypes.addressof(self._search), ctypes.addressof(self._net))
+
+    def _fresh_state(self) -> RoutingState:
+        """The pre-claimed occupancy every pass starts from."""
+        return RoutingState(
+            self.design, self.placement, self.shape, self.region,
+            array=self.array, defects=self.defects, history=self.history,
+        )
 
     # ------------------------------------------------------------------
     # Net enumeration and ordering
     # ------------------------------------------------------------------
     def routable_nets(self) -> list[str]:
-        nets = []
-        for net in self.design.nets():
-            sinks = self.design.sinks_of.get(net, [])
-            if sinks or net in self.design.outputs:
-                nets.append(net)
-        return nets
-
-    def _net_span(self, net: str) -> int:
-        from repro.pnr.place import net_hpwl
-
-        return net_hpwl(self.design, self.placement, net)
+        if self._routable is None:
+            self._routable = [
+                net for net in self.design.nets()
+                if self.design.sinks_of.get(net) or net in self.design.outputs
+            ]
+        return list(self._routable)
 
     # ------------------------------------------------------------------
     # Top level
@@ -475,7 +536,8 @@ class Router:
         one search plus journal replays, not a full re-route of the
         design.
         """
-        nets = sorted(self.routable_nets(), key=self._net_span)
+        spans = net_spans(self.design, self.placement)
+        nets = sorted(self.routable_nets(), key=lambda n: spans.get(n, 0))
         failed: list[str] = []
         for attempt in range(self.max_passes):
             prev_failed = failed
@@ -488,35 +550,35 @@ class Router:
                 # consistent previous solution, so played back-to-back
                 # they almost never collide; fresh searches then route
                 # around the replayed fabric.
-                front = set(prev_failed)
+                skip = set(prev_failed) | self._stale_nets()
                 eligible = [
-                    n for n in nets
-                    if n not in front
-                    and n in self.warm_routes
-                    and self._warm_eligible(n)
+                    n for n in nets if n not in skip and n in self.warm_routes
                 ]
-                taken = front | set(eligible)
+                taken = set(prev_failed) | set(eligible)
                 ordered = (
                     prev_failed
                     + eligible
                     + [n for n in nets if n not in taken]
                 )
             replayable = set(eligible)
-            for net in ordered:
+            k = 0
+            while k < len(ordered):
                 # Cooperative cancellation: a service deadline cancels
-                # between nets, never mid-search.
+                # between nets (or runs of replays), never mid-search.
                 checkpoint()
-                if net in replayable:
-                    replayed = self._replay_net(self.warm_routes[net])
-                    if replayed is not None:
-                        self.routes[net] = replayed
-                        self.n_replayed += 1
+                end = k
+                while end < len(ordered) and ordered[end] in replayable:
+                    end += 1
+                if end > k:
+                    k += self._replay_run(ordered[k:end])
+                    if k == end:
                         continue
-                self.state.begin_net()
+                # A net to search, or the replay that just collided.
+                net = ordered[k]
+                k += 1
                 try:
                     self.routes[net] = self._route_net(net)
                     self.n_searched += 1
-                    self.state.commit_net()
                 except RoutingError:
                     # Roll the partial tree back so the failure cannot
                     # poison the nets routed after it.
@@ -530,15 +592,12 @@ class Router:
             # up and lead with the failures; the routes this pass *did*
             # commit replay from their journals unless the retried
             # failures grab their resources first.
-            for cell in set(self.state.thru_rows) | set(self.state.gate_rows):
-                self.history[cell] += 0.3
+            st = self.state
+            self.history[(st.thru_key | st.gate_key) != 0] += 0.3
             self.warm_routes = dict(self.routes)
             self.warm_moved = set()
             self._use_warm = True
-            self.state = RoutingState(
-                self.design, self.placement, self.shape, self.region,
-                array=self.array, defects=self.defects,
-            )
+            self.state = self._fresh_state()
             self.routes = {}
             # Keep the remaining order stable: journal replays then stay
             # consistent pass over pass instead of cascading failures
@@ -555,470 +614,181 @@ class Router:
     # ------------------------------------------------------------------
     # Warm replay of an earlier pass's routes
     # ------------------------------------------------------------------
-    def _warm_eligible(self, net: str) -> bool:
-        """True when every endpoint gate of ``net`` is unmoved."""
-        src = self.design.source_of.get(net)
-        if src is not None and src in self.warm_moved:
-            return False
-        return all(
-            g not in self.warm_moved
-            for g, _ in self.design.sinks_of.get(net, [])
-        )
+    def _stale_nets(self) -> set[str]:
+        """Nets with an endpoint gate in ``warm_moved``: their journals
+        are not replayed."""
+        stale: set[str] = set()
+        for name in self.warm_moved:
+            gate = self.design.gates.get(name)
+            if gate is not None:
+                stale.add(gate.output)
+                stale.update(gate.inputs)
+        return stale
 
-    def _replay_net(self, warm: NetRoute) -> NetRoute | None:
-        """Re-claim a previous route's resources from its commit journal.
+    def _replay_run(self, nets: list[str]) -> int:
+        """Re-claim previous routes' resources from their commit journals,
+        in order, until one collides; returns how many replayed.
 
-        Every op is validated against the *current* routing state before
-        it is applied; the first collision rolls the whole net back and
-        returns ``None`` so the caller searches from scratch.  A replay
-        that completes reproduces the old route exactly (same wires,
-        same sink columns), which is what keeps warm-started routing
-        deterministic.
+        The kernel validates every op against the *current* routing
+        state before applying it, as the search that wrote it did; the
+        first collision (or a malformed op) rolls that net back and ends
+        the run, so the caller searches it from scratch.  A replay that
+        completes reproduces the old route exactly (same wires, same
+        sink columns), which is what keeps warm-started routing
+        deterministic — the replayed :class:`NetRoute` is the warm one.
         """
-        st = self.state
-        net = warm.net
-        st.begin_net()
-        route = NetRoute(net=net, sink_cols=dict(warm.sink_cols))
-        for op in warm.ops:
-            kind = op[0]
-            if kind == "entry" or kind == "entry_front":
-                w = op[1]
-                if not st.wire_free(w):
-                    break
-                st.claim_wire(w, net)
-                if kind == "entry":
-                    route.wires.append(w)
-                else:
-                    route.wires.insert(0, w)
-                route.entry_wire = w
-            elif kind == "drive":
-                _, w, cell, row, direction = op
-                if not st.wire_free(w) or row not in st.free_rows(cell):
-                    break
-                st.add_gate_row(cell, row, direction)
-                st.claim_wire(w, net)
-                route.wires.append(w)
-            elif kind == "thru":
-                _, w, cell, in_col, row, direction = op
-                if (
-                    not st.wire_free(w)
-                    or not st.cell_passable(cell, net, in_col)
-                    or row not in st.thru_rows_available(cell)
-                ):
-                    break
-                st.add_thru_row(cell, net, in_col, row, direction)
-                st.claim_wire(w, net)
-                route.wires.append(w)
-            elif kind == "col":
-                _, cell, col = op
-                owner = st.col_assign.get(cell, {}).get(col)
-                if owner is not None and owner != net:
-                    break
-                st.assign_col(cell, col, net)
-            else:  # pragma: no cover - journal kinds are closed
-                break
-        else:
-            route.ops = list(warm.ops)
-            st.commit_net()
-            return route
-        st.rollback_net()
-        return None
+        routes = [self.warm_routes[net] for net in nets]
+        journals = [
+            r.ops if isinstance(r.ops, array) and r.ops.typecode == "i"
+            else array("i", r.ops)
+            for r in routes
+        ]
+        offs = np.zeros(len(nets) + 1, np.int64)
+        np.cumsum([len(j) for j in journals], out=offs[1:])
+        flat = np.frombuffer(b"".join(journals) or b"\0\0\0\0", np.int32)
+        ids = np.array([self._ids[net] for net in nets], np.int64)
+        done = self.lib.replay_many(
+            self.state.ref, ids.ctypes.data, offs.ctypes.data,
+            flat.ctypes.data, len(nets),
+        )
+        self.routes.update(zip(nets[:done], routes))
+        self.n_replayed += done
+        return done
 
     # ------------------------------------------------------------------
     # One net
     # ------------------------------------------------------------------
-    def _route_net(self, net: str) -> NetRoute:
-        route = NetRoute(net=net)
-        src_gate_name = self.design.source_of.get(net)
-        src_gate = (
-            self.design.gates[src_gate_name] if src_gate_name is not None else None
-        )
-        sinks = list(self.design.sinks_of.get(net, []))
-        is_output = net in self.design.outputs
-        # A primary input has a free entry point, but the whole tree must
-        # grow from it — so the entry is confined to the dominance corner
-        # every sink can still be reached from.
-        sink_cells = [
-            self.placement.input_cell(self.design.gates[g]) for g, _ in sinks
-        ]
-        if src_gate is not None:
-            origin = self.placement.output_cell(src_gate)
-            entry_bound = None
+    def _plan(self, net: str) -> tuple:
+        """The kernel's view of one net, fixed by the placement: its id,
+        source cell, flags, entry bound and sinks, nearest first."""
+        plan = self._plans.get(net)
+        if plan is not None:
+            return plan
+        design, placement = self.design, self.placement
+        cols = self.shape[1]
+        src = design.source_of.get(net)
+        sinks = list(design.sinks_of.get(net, []))
+        is_output = net in design.outputs
+        sink_cells = [placement.input_cell(design.gates[g]) for g, _ in sinks]
+        if src is not None:
+            r, c = origin = placement.output_cell(design.gates[src])
+            src_cell, er, ec = r * cols + c, -1, -1
         else:
-            origin = (
+            # A primary input has a free entry point, but the whole tree
+            # must grow from it — so the entry is confined to the
+            # dominance corner every sink can still be reached from.
+            origin = er, ec = (
                 min((r for r, _ in sink_cells), default=self.region.row),
                 min((c for _, c in sink_cells), default=self.region.col),
             )
-            entry_bound = origin
-        # Sort sinks nearest-first so the tree grows outward.
-        sinks.sort(
-            key=lambda s: (
-                abs(self.placement.input_cell(self.design.gates[s[0]])[0] - origin[0])
-                + abs(self.placement.input_cell(self.design.gates[s[0]])[1] - origin[1])
-            )
+            src_cell = -1
+        # Sinks nearest-first, so the tree grows outward.
+        order = sorted(
+            range(len(sinks)),
+            key=lambda k: abs(sink_cells[k][0] - origin[0])
+            + abs(sink_cells[k][1] - origin[1]),
         )
-        for gate_name, pin in sinks:
-            self._route_sink(
-                route, src_gate, gate_name, pin,
-                multi=len(sinks) > 1 or is_output,
-                entry_bound=entry_bound,
-            )
-        if is_output:
-            self._ensure_output_tap(route, src_gate)
-        return route
-
-    def _sink_target(
-        self, gate: MappedGate, pin: int, net: str
-    ) -> tuple[tuple[int, int], list[int]]:
-        """(input cell, acceptable columns) for one sink pin."""
-        cell = self.placement.input_cell(gate)
-        cols = gate.pin_columns
-        if cols is not None:
-            return cell, [cols[pin]]
-        assign = self.state.col_assign.get(cell, {})
-        if net in assign.values():
-            # The net already landed on this cell (duplicate pin).
-            return cell, [c for c, n in assign.items() if n == net]
-        return cell, [c for c in range(N_INPUTS) if c not in assign]
-
-    def _route_sink(
-        self,
-        route: NetRoute,
-        src_gate: MappedGate | None,
-        sink_name: str,
-        pin: int,
-        multi: bool,
-        entry_bound: tuple[int, int] | None = None,
-    ) -> None:
-        sink_gate = self.design.gates[sink_name]
-        target_cell, allowed = self._sink_target(sink_gate, pin, route.net)
-        if not allowed:
-            raise RoutingError(
-                f"net {route.net!r}: sink {sink_name!r} has no free input column"
-            )
-        tr, tc = target_cell
-        # The net may already arrive on an acceptable column of this cell.
-        for col in allowed:
-            if self.state.wire_net.get((tr, tc, col)) == route.net:
-                route.sink_cols[(sink_name, pin)] = col
-                self._assign_col(target_cell, col, route.net)
-                route.ops.append(("col", target_cell, col))
-                return
-        came = self._search(route, src_gate, target_cell, allowed, multi, entry_bound)
-        goal_col = self._commit(route, came)
-        route.sink_cols[(sink_name, pin)] = goal_col
-        self._assign_col(target_cell, goal_col, route.net)
-        route.ops.append(("col", target_cell, goal_col))
-
-    def _assign_col(self, cell: tuple[int, int], col: int, net: str) -> None:
-        self.state.assign_col(cell, col, net)
-
-    # ------------------------------------------------------------------
-    # A* search over wire nodes
-    # ------------------------------------------------------------------
-    def _hop_cost(self, cell: tuple[int, int], net: str) -> float:
-        st = self.state
-        if (cell, net) in st.thru_col:
-            base = self.REUSE_COST
-        elif cell in st.logic_cells or cell in st.thru_rows:
-            base = self.SHARE_COST
-        else:
-            base = self.FRESH_COST
-        return base + float(self.history[cell])
-
-    def _search(
-        self,
-        route: NetRoute,
-        src_gate: MappedGate | None,
-        target: tuple[int, int],
-        allowed_cols: list[int],
-        multi: bool,
-        entry_bound: tuple[int, int] | None = None,
-    ):
-        """Find a path of wires ending on ``target``'s allowed columns.
-
-        Returns ``(parent lookup, goal node)``; raises RoutingError.
-        Nodes are wires ``(r, c, i)``; parents record how the wire came
-        to carry the net: ``("seed",)`` (already in the tree),
-        ``("drive", row, dir)`` (a new source row), ``("entry",)``
-        (primary-input entry) or ``("hop", prev, row, dir)``.
-
-        Cost and parent slots live in the router's single preallocated
-        grid, validity-stamped with the search generation — no per-net
-        allocation, no clearing sweep.
-        """
-        st = self.state
-        net = route.net
-        wire_net = st.wire_net
-        tr, tc = target
-        self._generation += 1
-        gen = self._generation
-        gcost = self._gcost
-        parent = self._parent
-        stamp = self._stamp
-        nid_cols = self._nid_cols
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        east = Direction.EAST
-        north = Direction.NORTH
-
-        frontier: list[tuple[float, int, int, tuple[int, int, int]]] = []
-        tick = 0
-
-        def push(node, cost, par):
-            nonlocal tick
-            r, c, i = node
-            if r > tr or c > tc:
-                return
-            nid = (r * nid_cols + c) * N_INPUTS + i
-            if stamp[nid] == gen and gcost[nid] <= cost:
-                return
-            gcost[nid] = cost
-            parent[nid] = par
-            stamp[nid] = gen
-            tick += 1
-            # f = g + h with the Manhattan heuristic to the target cell.
-            heappush(frontier, (cost + (tr - r) + (tc - c), tick, nid, node))
-
-        for w in route.wires:
-            push(w, 0.0, ("seed",))
-        if src_gate is not None:
-            cell, rows = st.output_candidates(src_gate)
-            for row in rows:
-                for direction in (east, north):
-                    w = _wire_after(cell, row, direction)
-                    if st.wire_exists(*w) and w not in wire_net:
-                        push(w, 1.0, ("drive", row, direction))
-        elif not route.wires:
-            # Primary input: enter on any free wire the search can use —
-            # a passable cell's free column, or the sink pin directly.
-            # The entry bound keeps the root inside every sink's quadrant.
-            # Cell-level vetoes (opaque, committed pin capacity) are
-            # hoisted out of the per-wire loop: this scan visits every
-            # cell of the entry quadrant.
-            er, ec = entry_bound if entry_bound is not None else (tr, tc)
-            opaque = st.opaque
-            col_assign = st.col_assign
-            pending_inputs = st.pending_inputs
-            thru_col = st.thru_col
-            for r in range(self.region.row, min(self.region.row + self.region.n_rows, er + 1)):
-                for c in range(self.region.col, min(self.region.col + self.region.n_cols, ec + 1)):
-                    cell = (r, c)
-                    is_target = cell == target
-                    if cell in opaque and not is_target:
-                        continue
-                    assign = col_assign.get(cell)
-                    existing = thru_col.get((cell, net))
-                    pending = pending_inputs.get(cell)
-                    free_cols = (
-                        N_INPUTS - len(assign) if assign is not None else N_INPUTS
-                    )
-                    for i in range(N_INPUTS):
-                        w = (r, c, i)
-                        if w in wire_net:
-                            continue
-                        if not multi and is_target and i in allowed_cols:
-                            push(w, 0.0, ("entry",))
-                            continue
-                        if cell in opaque:
-                            continue
-                        # Inline cell_passable(cell, net, i):
-                        if existing is not None:
-                            if i != existing:
-                                continue
-                        else:
-                            owner = assign.get(i) if assign is not None else None
-                            if owner is not None:
-                                if owner != net:
-                                    continue
-                            elif pending and net not in pending:
-                                if free_cols <= len(pending):
-                                    continue
-                        push(w, 0.0, ("entry",))
-
-        while frontier:
-            f, _, nid, node = heappop(frontier)
-            if gcost[nid] + 1e-9 < f - (tr - node[0]) - (tc - node[1]):
-                continue
-            r, c, i = node
-            if r == tr and c == tc and i in allowed_cols:
-                return self._parent_lookup(gen), node
-            cell = (r, c)
-            if not st.cell_passable(cell, net, i):
-                continue
-            base = self._hop_cost(cell, net)
-            g_here = gcost[nid]
-            ce = c + 1
-            rn = r + 1
-            push_east = ce <= tc
-            push_north = rn <= tr
-            if not (push_east or push_north):
-                continue
-            for row in st.thru_rows_available(cell):
-                # Produced wires always exist: the cell is in-region,
-                # so (r, c+1) / (r+1, c) index real wires and
-                # row < N_ROWS == N_INPUTS.
-                if push_east:
-                    w = (r, ce, row)
-                    if w not in wire_net:
-                        nid2 = (r * nid_cols + ce) * N_INPUTS + row
-                        cost = g_here + base
-                        if stamp[nid2] != gen or gcost[nid2] > cost:
-                            gcost[nid2] = cost
-                            parent[nid2] = ("hop", node, row, east)
-                            stamp[nid2] = gen
-                            tick += 1
-                            heappush(
-                                frontier,
-                                (cost + (tr - r) + (tc - ce), tick, nid2, w),
-                            )
-                if push_north:
-                    w = (rn, c, row)
-                    if w not in wire_net:
-                        nid2 = (rn * nid_cols + c) * N_INPUTS + row
-                        cost = g_here + base
-                        if stamp[nid2] != gen or gcost[nid2] > cost:
-                            gcost[nid2] = cost
-                            parent[nid2] = ("hop", node, row, north)
-                            stamp[nid2] = gen
-                            tick += 1
-                            heappush(
-                                frontier,
-                                (cost + (tr - rn) + (tc - c), tick, nid2, w),
-                            )
-        raise RoutingError(
-            f"net {route.net!r}: no path to cell {target} columns {allowed_cols}"
+        flat = []
+        for k in order:
+            (r, c), (gname, pin) = sink_cells[k], sinks[k]
+            pins = design.gates[gname].pin_columns
+            flat += [r * cols + c, -1 if pins is None else pins[pin]]
+        plan = self._plans[net] = (
+            self._ids[net], src_cell, len(sinks) > 1 or is_output, is_output,
+            er, ec, np.array(flat, np.int32), [sinks[k] for k in order],
         )
+        return plan
 
-    def _parent_lookup(self, gen: int):
-        """Parent-map accessor over the generation-stamped search grid."""
-        parent = self._parent
-        stamp = self._stamp
-        nid_cols = self._nid_cols
-
-        def lookup(node: tuple[int, int, int]) -> tuple:
-            r, c, i = node
-            nid = (r * nid_cols + c) * N_INPUTS + i
-            if stamp[nid] != gen:  # pragma: no cover - defensive
-                raise RoutingError(f"search grid has no parent for {node}")
-            return parent[nid]
-
-        return lookup
-
-    # ------------------------------------------------------------------
-    # Committing a found path
-    # ------------------------------------------------------------------
-    def _commit(self, route: NetRoute, came_and_goal) -> int:
-        came, goal = came_and_goal
-        st = self.state
-        path: list[tuple[tuple[int, int, int], tuple]] = []
-        node = goal
-        while True:
-            parent = came(node)
-            path.append((node, parent))
-            if parent[0] == "hop":
-                node = parent[1]
-            else:
-                break
-        for node, parent in reversed(path):
-            kind = parent[0]
-            if kind == "seed":
-                continue
-            if kind == "entry":
-                st.claim_wire(node, route.net)
-                route.wires.append(node)
-                route.entry_wire = node
-                route.ops.append(("entry", node))
-                continue
-            if kind == "drive":
-                _, row, direction = parent
-                src_cell = self.placement.output_cell(
-                    self.design.gates[self.design.source_of[route.net]]
-                )
-                st.add_gate_row(src_cell, row, direction)
-                route.ops.append(("drive", node, src_cell, row, direction))
-            else:  # hop
-                _, prev, row, direction = parent
-                st.add_thru_row(
-                    (prev[0], prev[1]), route.net, prev[2], row, direction
-                )
-                route.ops.append(
-                    ("thru", node, (prev[0], prev[1]), prev[2], row, direction)
-                )
-            st.claim_wire(node, route.net)
-            route.wires.append(node)
-        return goal[2]
-
-    # ------------------------------------------------------------------
-    # Output taps
-    # ------------------------------------------------------------------
-    def _ensure_output_tap(self, route: NetRoute, src_gate: MappedGate | None) -> None:
-        """Guarantee the net value is observable on a *driven* wire."""
-        driven = [w for w in route.wires if w != route.entry_wire]
-        if driven:
-            return
-        if src_gate is not None:
-            cell, rows = self.state.output_candidates(src_gate)
-            if self._tap_from(route, cell, rows, in_col=None):
-                return
-            raise RoutingError(
-                f"output net {route.net!r}: no free row/wire to expose it"
+    def _route_net(self, net: str) -> NetRoute:
+        nid, src_cell, multi, is_output, er, ec, sinks, keys = self._plan(net)
+        n = self._net
+        n.net, n.src_cell, n.multi, n.is_output = nid, src_cell, multi, is_output
+        n.er, n.ec, n.n_sinks = er, ec, len(keys)
+        n.sinks = sinks.ctypes.data
+        code = self.lib.route_net(self.state.ref, *self._refs)
+        a = n.arrays
+        io = a["io"].tolist()
+        if code in (_OK, _PI_TAP):
+            flat = a["wires"][:3 * io[0]].tolist()
+            entry = io[2]
+            route = NetRoute(
+                net=net,
+                wires=list(zip(flat[0::3], flat[1::3], flat[2::3])),
+                entry_wire=(
+                    None if entry < 0 else
+                    (entry // N_INPUTS // (self.shape[1] + 1),
+                     entry // N_INPUTS % (self.shape[1] + 1),
+                     entry % N_INPUTS)
+                ),
+                sink_cols=dict(zip(keys, a["sink_col"][:len(keys)].tolist())),
+                ops=array("i", a["ops"][:io[1]].tobytes()),
             )
-        # Primary input feeding an output: pass it through one cell.
-        for (cell, owner), in_col in list(self.state.thru_col.items()):
-            if owner == route.net:
-                if self._tap_from(
-                    route, cell, self.state.free_rows(cell), in_col=in_col
-                ):
-                    return
-        # Forward straight from the cell the entry wire lands on (its
-        # reader — a sink or feed-through — re-drives it on a spare row).
+            if code == _PI_TAP:
+                self._tap_input(route)
+            return route
+        if code == _NO_COLUMN:
+            raise RoutingError(
+                f"net {net!r}: sink {keys[io[3]][0]!r} has no free input column"
+            )
+        if code == _NO_PATH:
+            cell = divmod(int(sinks[2 * io[3]]), self.shape[1])
+            raise RoutingError(
+                f"net {net!r}: no path to cell {cell} columns "
+                f"{io[5:5 + io[4]]}"
+            )
+        if code == _NO_TAP:
+            raise RoutingError(
+                f"output net {net!r}: no free row/wire to expose it"
+            )
+        if code == _NO_MEMORY:
+            raise MemoryError(f"net {net!r}: the search frontier could not grow")
+        raise RuntimeError(f"net {net!r}: route buffers overflowed")  # pragma: no cover
+
+    # ------------------------------------------------------------------
+    # Output taps of primary inputs
+    # ------------------------------------------------------------------
+    def _tap_input(self, route: NetRoute) -> None:
+        """Expose a primary input that is also a declared output on a
+        *driven* wire: a feed-through re-drives it on a spare row."""
+        st = self.state
         if route.entry_wire is not None:
+            # Forward straight from the cell the entry wire lands on.
             er, ec, ei = route.entry_wire
-            if self._tap_from(
-                route, (er, ec), self.state.free_rows((er, ec)), in_col=ei
-            ):
+            if self._tap_from(route, (er, ec), ei):
                 return
         else:
             # No entry exists yet: claim one plus one buffer row.
-            for r in range(self.region.row, self.region.row + self.region.n_rows):
-                for c in range(self.region.col, self.region.col + self.region.n_cols):
-                    cell = (r, c)
+            reg = self.region
+            for r in range(reg.row, reg.row + reg.n_rows):
+                for c in range(reg.col, reg.col + reg.n_cols):
                     for i in range(N_INPUTS):
                         entry = (r, c, i)
-                        if not self.state.wire_free(entry):
+                        if not st.wire_free(entry):
                             continue
-                        if not self.state.cell_passable(cell, route.net, i):
+                        if not st.cell_passable((r, c), route.net, i):
                             continue
-                        if self._tap_entry(route, cell, entry):
+                        if self._tap_from(route, (r, c), i):
+                            st.apply(route.net, (OP_ENTRY_FRONT, *entry))
+                            route.wires.insert(0, entry)
+                            route.entry_wire = entry
+                            route.ops.extend((OP_ENTRY_FRONT, *entry))
                             return
         raise RoutingError(
             f"output net {route.net!r}: no cell available to expose it"
         )
 
-    def _tap_entry(self, route, cell, entry) -> bool:
-        ok = self._tap_from(route, cell, self.state.free_rows(cell), in_col=entry[2])
-        if not ok:
-            return False
-        self.state.claim_wire(entry, route.net)
-        route.wires.insert(0, entry)
-        route.entry_wire = entry
-        route.ops.append(("entry_front", entry))
-        return True
-
-    def _tap_from(self, route, cell, rows, in_col) -> bool:
+    def _tap_from(self, route: NetRoute, cell, in_col: int) -> bool:
         st = self.state
-        for row in rows:
-            for direction in (Direction.EAST, Direction.NORTH):
-                w = _wire_after(cell, row, direction)
+        r, c = cell
+        for row in st.free_rows(cell):
+            for direction, w in (
+                (Direction.EAST, (r, c + 1, row)),
+                (Direction.NORTH, (r + 1, c, row)),
+            ):
                 if st.wire_exists(*w) and st.wire_free(w):
-                    if in_col is not None:
-                        st.add_thru_row(cell, route.net, in_col, row, direction)
-                        route.ops.append(("thru", w, cell, in_col, row, direction))
-                    else:
-                        st.add_gate_row(cell, row, direction)
-                        route.ops.append(("drive", w, cell, row, direction))
-                    st.claim_wire(w, route.net)
+                    op = (OP_THRU, *w, r, c, in_col, row, int(direction))
+                    st.apply(route.net, op)
+                    route.ops.extend(op)
                     route.wires.append(w)
                     return True
         return False

@@ -42,10 +42,11 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from repro.fabric.array import ROW_DELAY
 from repro.fabric.driver import DRIVER_DELAY, DriverMode
-from repro.fabric.nandcell import Direction
+from repro.fabric.nandcell import N_INPUTS
 from repro.pnr.place import Placement, gate_levels
 from repro.pnr.techmap import MappedDesign
 
@@ -133,52 +134,6 @@ class TimingReport:
 # Wire-delay extraction
 # ----------------------------------------------------------------------
 
-_EAST, _NORTH = Direction.EAST, Direction.NORTH
-
-
-def _diagonal(w: tuple[int, int, int]) -> tuple:
-    return (w[0] + w[1], w)
-
-
-def _routed_depths(state, route, src_out_cell) -> dict[tuple[int, int, int], int]:
-    """Feed-through hop count of every wire in one routed net tree.
-
-    Wires driven by the source gate's own fan-out rows (or by the entry
-    point of a primary input) are depth 0; each feed-through row adds 1.
-    Hops strictly increase ``r + c``, so processing wires in that order
-    guarantees parents are resolved first.
-    """
-    depth: dict[tuple[int, int, int], int] = {}
-    thru_rows, thru_col, gate_rows = state.thru_rows, state.thru_col, state.gate_rows
-    net = route.net
-    for w in sorted(set(route.wires), key=_diagonal):
-        r, c, i = w
-        parent = None
-        for q, direction in (((r, c - 1), _EAST), ((r - 1, c), _NORTH)):
-            if q[0] < 0 or q[1] < 0:
-                continue
-            rows = thru_rows.get(q)
-            thru = rows.get(i) if rows else None
-            if (
-                thru is not None
-                and thru[1] is direction
-                and thru_col.get((q, net)) == thru[0]
-            ):
-                parent = (q[0], q[1], thru[0])
-                break
-            if q == src_out_cell and gate_rows.get(q, {}).get(i) is direction:
-                break  # driven directly by the source gate: depth 0
-        if parent is None:
-            depth[w] = 0  # gate drive or primary-input entry
-        elif parent in depth:
-            depth[w] = depth[parent] + 1
-        else:  # pragma: no cover - the tree is connected by construction
-            raise TimingError(
-                f"net {net!r}: wire {w} hangs off unresolved {parent}"
-            )
-    return depth
-
-
 def _wire_delays(
     design: MappedDesign,
     placement: Placement | None,
@@ -187,26 +142,22 @@ def _wire_delays(
 ) -> tuple[dict[tuple[str, int], int], dict[str, int], str]:
     """Per-sink and per-output wire delays, plus the analysis mode.
 
-    Routed mode counts the exact feed-through hops of each routed tree;
-    placed mode estimates hops from Manhattan distance (a wire reaches
+    Routed mode reads the feed-through hop depth the router recorded for
+    each sink's landing wire (and each output's first driven wire) when
+    it committed or replayed the net; placed mode estimates hops from Manhattan distance (a wire reaches
     the abutting neighbour for free, every further cell is one hop);
     logic mode prices every wire at zero.
     """
     sink_delay: dict[tuple[str, int], int] = {}
     out_delay: dict[str, int] = {}
     if state is not None and routes is not None:
-        placement = placement or state.placement
+        positions = (placement or state.placement).positions
+        depth = state.depth.tolist()
+        stride = state.n_cols + 1
         for net, route in routes.items():
-            src = design.source_of.get(net)
-            src_cell = (
-                placement.output_cell(design.gates[src]) if src is not None else None
-            )
-            depth = _routed_depths(state, route, src_cell)
-            for (gname, pin), col in route.sink_cols.items():
-                cell = placement.input_cell(design.gates[gname])
-                sink_delay[(gname, pin)] = (
-                    depth.get((cell[0], cell[1], col), 0) * HOP_DELAY
-                )
+            for key, col in route.sink_cols.items():
+                r, c = positions[key[0]]
+                sink_delay[key] = depth[(r * stride + c) * N_INPUTS + col] * HOP_DELAY
             if net in design.outputs:
                 # The exported tap is the first driven wire — the one
                 # _build_result records in output_wires and the sharded
@@ -214,9 +165,11 @@ def _wire_delays(
                 # branches of the tree serve internal sinks, whose own
                 # pin arrivals already price them.
                 driven = [w for w in route.wires if w != route.entry_wire]
-                out_delay[net] = (
-                    depth.get(driven[0], 0) * HOP_DELAY if driven else 0
-                )
+                if driven:
+                    r, c, i = driven[0]
+                    out_delay[net] = depth[(r * stride + c) * N_INPUTS + i] * HOP_DELAY
+                else:
+                    out_delay[net] = 0
         return sink_delay, out_delay, "routed"
     if placement is not None:
         for net, sinks in design.sinks_of.items():
@@ -257,9 +210,24 @@ def _gate_facts(design: MappedDesign) -> list[tuple]:
 
 
 def _logic_delay(design: MappedDesign) -> int:
-    """The ideal-wire cycle time: every wire priced at zero."""
-    _, _, ideal = _propagate(design, {}, {})
-    return max((c[0] for c in ideal), default=0)
+    """The ideal-wire cycle time: every wire priced at zero.
+
+    :func:`_propagate` with no wire delays and no input arrivals,
+    keeping only the worst capture.
+    """
+    launch = dict.fromkeys(design.inputs, 0)
+    worst = 0
+    for _, inputs, output, stateful, delay in _gate_facts(design):
+        latest = max(map(launch.get, inputs, repeat(0)), default=0)
+        if stateful:
+            worst = max(worst, latest)  # captured at the pair's pins
+            launch[output] = delay
+        else:
+            launch[output] = latest + delay
+    for net in design.outputs:
+        if net in launch:
+            worst = max(worst, launch[net])
+    return worst
 
 
 def _propagate(design, sink_delay, out_delay, input_arrivals=None):
@@ -309,9 +277,9 @@ def analyze_timing(
     placement:
         Gate positions; enables Manhattan wire-delay estimates.
     state, routes:
-        The router's :class:`repro.pnr.route.RoutingState` and route map;
-        together they enable exact per-net routed wire counts (this is
-        the mode the flow reports).
+        The router's :class:`repro.pnr.route.RoutingState` (its per-wire
+        hop depths) and route map; together they enable exact per-net
+        routed wire counts (this is the mode the flow reports).
     target_period:
         Required cycle time.  Defaults to the design's ideal-wire logic
         depth, so the default worst slack is ``-(wire delay on the

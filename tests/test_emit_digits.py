@@ -3,10 +3,11 @@
 :func:`repro.pnr.emit.emit_design` fills frame digits directly.  The
 oracle below is the emitter it replaced: it builds one
 :class:`CellConfig` per cell through the validated ``set_product`` /
-``set_constant`` API and installs each with ``CellArray.set_cell``.  Both
-must produce the same digit matrix from the same routing state — for
-plain logic, feed-throughs, C-element pairs (with and without the reset
-literal) and event-latch pairs.
+``set_constant`` API and installs each with ``CellArray.set_cell``,
+reading the router's occupancy arrays cell by cell.  Both must produce
+the same digit matrix from the same routing state — for plain logic,
+feed-throughs, C-element pairs (with and without the reset literal) and
+event-latch pairs.
 """
 
 from __future__ import annotations
@@ -19,12 +20,47 @@ from repro.datapath.adder import ripple_carry_netlist
 from repro.datapath.multiplier import array_multiplier_netlist
 from repro.fabric.array import CellArray
 from repro.fabric.driver import DriverMode
-from repro.fabric.nandcell import CellConfig, InputSource, LfbPartner
+from repro.fabric.nandcell import CellConfig, Direction, InputSource, LfbPartner
 from repro.netlist import Netlist
-from repro.pnr import compile_to_fabric
-from repro.pnr.emit import _input_columns
+from repro.pnr import compile_to_fabric, map_netlist
+from repro.pnr.flow import _compile_mapped
 from repro.pnr.techmap import CONST_GATE, PAIR_CELEMENT, PRODUCT_NAND
 from repro.sim.values import ZERO
+
+
+def _k(state, cell) -> int:
+    return (cell[0] * state.n_cols + cell[1]) * 6
+
+
+def gate_rows(state, cell) -> dict:
+    """``{row: direction}`` of the gate fan-out rows on ``cell``."""
+    dirs = state.gate_dir[_k(state, cell):][:6]
+    return {row: Direction(d) for row, d in enumerate(dirs) if d >= 0}
+
+
+def thru_rows(state, cell) -> dict:
+    """``{row: (column read, direction)}`` of the feed-throughs."""
+    k = _k(state, cell)
+    return {
+        row: (int(col), Direction(d))
+        for row, (d, col) in enumerate(
+            zip(state.thru_dir[k:k + 6], state.thru_in[k:k + 6])
+        )
+        if d >= 0
+    }
+
+
+def input_columns(state, gate, cell) -> list[int]:
+    """Each input net's first-claimed column on ``cell``."""
+    k = _k(state, cell)
+    claims = sorted(
+        (int(state.col_seq[k + col]), col)
+        for col in range(6) if state.col_net[k + col] >= 0
+    )
+    first = {}
+    for _, col in claims:
+        first.setdefault(state.net_names[state.col_net[k + col]], col)
+    return [first[net] for net in gate.inputs]
 
 
 def oracle_emit(array: CellArray, state) -> None:
@@ -32,13 +68,13 @@ def oracle_emit(array: CellArray, state) -> None:
     configs: dict[tuple[int, int], CellConfig] = {}
     for gate in state.design.gates.values():
         in_cell = state.placement.input_cell(gate)
-        out_rows = state.gate_rows[state.placement.output_cell(gate)]
+        out_rows = gate_rows(state, state.placement.output_cell(gate))
         if gate.width == 1:
             cfg = configs[in_cell] = CellConfig()
             if gate.kind == CONST_GATE:
                 mode = DriverMode.BUFFER if gate.value == 1 else DriverMode.INVERT
             else:
-                cols = sorted(set(_input_columns(state, gate, in_cell)))
+                cols = sorted(set(input_columns(state, gate, in_cell)))
                 mode = (DriverMode.BUFFER if gate.kind == PRODUCT_NAND
                         else DriverMode.INVERT)
             for row, direction in out_rows.items():
@@ -49,7 +85,7 @@ def oracle_emit(array: CellArray, state) -> None:
                 cfg.drivers[row] = mode
                 cfg.directions[row] = direction
             continue
-        cols = _input_columns(state, gate, in_cell)
+        cols = input_columns(state, gate, in_cell)
         if gate.kind == PAIR_CELEMENT:
             a_col, b_col, extra = cols[0], cols[1], cols[2:3]
             products = [[a_col, b_col] + extra, [a_col, 5] + extra,
@@ -73,9 +109,10 @@ def oracle_emit(array: CellArray, state) -> None:
             b.directions[row] = direction
         configs[in_cell] = a
         configs[state.placement.output_cell(gate)] = b
-    for cell, rows in state.thru_rows.items():
+    for cell_id in np.flatnonzero(state.thru_key).tolist():
+        cell = divmod(cell_id, state.n_cols)
         cfg = configs.setdefault(cell, CellConfig())
-        for row, (in_col, direction) in rows.items():
+        for row, (in_col, direction) in thru_rows(state, cell).items():
             assert cfg.drivers[row] is DriverMode.OFF
             cfg.set_product(row, [in_col])
             cfg.drivers[row] = DriverMode.INVERT
@@ -114,8 +151,11 @@ CASES += [("pipeline", 0), ("pairs", 1)]
     "name, seed", CASES, ids=[f"{d}-seed{s}" for d, s in CASES]
 )
 def test_digit_emit_matches_cellconfig_emit(name, seed):
-    result = compile_to_fabric(MAKERS[name](), seed=seed, workers=0)
-    state = result.routing_state
+    netlist = MAKERS[name]()
+    result, state = _compile_mapped(map_netlist(netlist), netlist, seed=seed)
+    assert result.array.to_digits() == compile_to_fabric(
+        netlist, seed=seed, workers=0
+    ).array.to_digits()
     want = CellArray(result.array.n_rows, result.array.n_cols)
     oracle_emit(want, state)
     assert result.array.to_digits() == want.to_digits()

@@ -595,27 +595,45 @@ def test_repair_contract_holds_for_random_dies(rca4_golden, die_seed, density):
 
 
 # ---------------------------------------------------------------------------
-# Open defects of the defect-aware flow, pinned until fixed
+# Dies whose cold defect-aware compile needs retries
 # ---------------------------------------------------------------------------
-# Both dies are documented in perfbench/README.md: warm repair falls
-# back, and the cold defect-aware compile then fails every attempt.
-# ``strict=True`` makes a fix flip these tests red, so whoever fixes
-# the flow also moves them into the passing suite.
+# On a die the array shape is pinned, so a retry gets no larger, sparser
+# grid: every attempt anneals, and the anneal finds room around the dead
+# cells.  These dies once failed every attempt.
 
-@pytest.mark.xfail(strict=True, raises=PnrError, reason=(
-    "open defect: one dead cell at (12, 6) leaves mul3 unroutable on "
-    "its 24x24 die"
-))
 def test_open_defect_mul3_die_seed_82():
     from repro.datapath.multiplier import array_multiplier_netlist
     from repro.service import CompileService
 
     with CompileService(workers=0) as svc:
-        svc.compile_for_die(
+        served = svc.compile_for_die(
             array_multiplier_netlist(3),
             sample_defect_map(24, 24, cell_fail=0.002, seed=82),
         )
+    assert served.result.defect_map is not None
 
+
+@pytest.mark.parametrize("dead", [
+    # perfbench ``warm`` seed 25's rca8 die.
+    [(1, 13), (2, 7), (10, 19), (12, 11), (13, 22), (22, 11), (27, 12),
+     (27, 29)],
+    # perfbench ``warm`` seed 602's rca8 die.
+    [(10, 11), (11, 5), (14, 1), (15, 9), (16, 2)],
+], ids=["warm-seed25", "warm-seed602"])
+def test_retrying_rca8_dies_compile_at_seed_0(dead):
+    die = DefectMap(31, 31, dead)
+    res = compile_to_fabric(
+        ripple_carry_netlist(8), defect_map=die, seed=0, workers=0
+    )
+    assert_defect_clean(res.array, die)
+    verify_equivalence(res, n_vectors=32, event_vectors=1)
+
+
+# ---------------------------------------------------------------------------
+# Open defect of the defect-aware flow, pinned until fixed
+# ---------------------------------------------------------------------------
+# ``strict=True`` makes a fix flip this test red, so whoever fixes the
+# flow also moves it into the passing suite.
 
 @pytest.mark.xfail(strict=True, raises=PnrError, reason=(
     "open defect: five dead cells leave 6 of 9 rca8 nets unroutable on "

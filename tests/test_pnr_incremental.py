@@ -36,6 +36,7 @@ from repro.pnr import (
     map_netlist,
     verify_equivalence,
 )
+from repro.pnr.route import Router
 
 #: Quality envelope of the delta path relative to a cold compile of the
 #: same edit.  Measured worst case over the seeded trials below is
@@ -233,3 +234,29 @@ def test_one_gate_edit_is_5x_faster_than_cold(rca8_base):
         f"incremental {t_inc * 1e3:.1f} ms vs cold {t_cold * 1e3:.1f} ms "
         f"({t_cold / t_inc:.1f}x)"
     )
+    # The work behind the ratio, which no host's speed moves: the edit
+    # searches a handful of nets and replays the rest.
+    cold = _router_counts(lambda: compile_to_fabric(edited, seed=0, workers=0))
+    warm = _router_counts(lambda: compile_incremental(edited, base, seed=0))
+    assert cold["replayed"] == 0 and cold["searched"] > 100, cold
+    assert warm["searched"] * 10 <= cold["searched"], (warm, cold)
+    assert warm["replayed"] + warm["searched"] == cold["searched"], (warm, cold)
+
+
+def _router_counts(compile_once) -> dict[str, int]:
+    """The final router's searched/replayed net counts of one compile."""
+    seen = []
+    real = Router.route_design
+
+    def spy(self, strict=True):
+        try:
+            return real(self, strict)
+        finally:
+            seen.append({"searched": self.n_searched, "replayed": self.n_replayed})
+
+    Router.route_design = spy
+    try:
+        compile_once()
+    finally:
+        Router.route_design = real
+    return seen[-1]

@@ -16,6 +16,7 @@ Covers the correctness contracts the perf rework leans on:
 
 import gc
 import random
+from array import array as array_i
 import shutil
 import subprocess
 import sys
@@ -43,8 +44,9 @@ from repro.pnr.place import (
     anneal_temperatures,
     hpwl,
     initial_placement,
+    net_spans,
 )
-from repro.pnr.route import Router
+from repro.pnr.route import NetRoute, Router
 from test_anneal_pins import multi_pin_design
 
 
@@ -389,6 +391,49 @@ class TestWarmReplay:
             assert replayed[net].wires == route.wires, net
             assert replayed[net].sink_cols == route.sink_cols, net
             assert replayed[net].entry_wire == route.entry_wire, net
+
+    def test_a_malformed_journal_fails_its_replay_and_is_searched(self):
+        """Journals may come from a decoded blob: the kernel's replay
+        checks every op's code, length and bounds before it claims
+        anything, and a net whose journal it refuses searches afresh."""
+        design = small_design()
+        array, region, placement = seeded_placement(design)
+        placement = anneal_placement(design, placement, random.Random(0))
+        shape = (array.n_rows, array.n_cols)
+        routes = Router(design, placement, shape, region).route_design()
+        spoiled = dict(routes)
+        bad = sorted(n for n, r in routes.items() if len(r.ops) > 4)[:3]
+        for net, ops in zip(bad, (
+            [9, 0, 0, 0],                        # unknown op code
+            [0, shape[0] + 5, 0, 0],             # wire outside the array
+            list(routes[bad[2]].ops)[:-1],       # a truncated last op
+        )):
+            spoiled[net] = NetRoute(net=net, ops=array_i("i", ops))
+        router = Router(design, placement, shape, region,
+                        warm_routes=spoiled, warm_moved=set())
+        again = router.route_design(strict=True)
+        assert router.n_searched == len(bad)
+        assert router.n_replayed == len(routes) - len(bad)
+        assert set(again) == set(routes)
+
+
+class TestNetSpans:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_spans_match_the_per_net_bounding_boxes(self, seed):
+        design = map_netlist(ripple_carry_netlist(6))
+        _, _, placement = seeded_placement(design)
+        placement = anneal_placement(design, placement, random.Random(seed))
+        spans = net_spans(design, placement)
+        for net, sinks in design.sinks_of.items():
+            pts = [placement.positions[g] for g, _ in sinks]
+            src = design.source_of.get(net)
+            if src is not None:
+                r, c = placement.positions[src]
+                pts.append((r, c + design.gates[src].width - 1))
+            rows, cols = [p[0] for p in pts], [p[1] for p in pts]
+            want = (max(rows) - min(rows)) + (max(cols) - min(cols)) if pts else 0
+            assert spans.get(net, 0) == want, net
+        assert hpwl(design, placement) == sum(spans.values())
 
 
 # ----------------------------------------------------------------------

@@ -267,3 +267,18 @@ class TestScaleGenerators:
         res = compile_to_fabric(array_multiplier_netlist(2), seed=0)
         assert res.timing.cycle_time >= res.timing.logic_delay > 0
         verify_equivalence(res, n_vectors=128, event_vectors=2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ripple_carry_netlist(8),
+    lambda: array_multiplier_netlist(3),
+    lambda: accumulator_step_netlist(4),
+], ids=["rca8", "mul3", "acc4"])
+def test_logic_delay_is_the_zero_wire_propagation(make):
+    """The ideal-wire bound is the forward pass with every wire at zero:
+    its lean form must agree with the full propagation."""
+    from repro.pnr.timing import _logic_delay, _propagate
+
+    design = map_netlist(make())
+    _, _, captures = _propagate(design, {}, {})
+    assert _logic_delay(design) == max((c[0] for c in captures), default=0)

@@ -97,12 +97,12 @@ def test_nested_deadline_scopes_keep_the_tighter_one():
 
 def test_real_compile_times_out_within_2x_deadline():
     """The acceptance pin: CompileTimeout, not a hang, within 2x."""
-    deadline = 0.05  # well under rca16's cold compile time
+    deadline = 0.05  # well under rca24's cold compile time
     with CompileService(workers=0) as svc:
         t0 = time.perf_counter()
         with pytest.raises(CompileTimeout):
             svc.compile(
-                ripple_carry_netlist(16), CompileOptions(deadline=deadline)
+                ripple_carry_netlist(24), CompileOptions(deadline=deadline)
             )
         elapsed = time.perf_counter() - t0
     assert elapsed < 2 * deadline, (
@@ -130,7 +130,7 @@ def test_stalled_job_still_times_out_within_2x_deadline():
 def test_timeout_books_and_identity_hold():
     with CompileService(workers=0) as svc:
         with pytest.raises(CompileTimeout):
-            svc.compile(ripple_carry_netlist(16), CompileOptions(deadline=0.05))
+            svc.compile(ripple_carry_netlist(24), CompileOptions(deadline=0.05))
         ok = svc.compile(ripple_carry_netlist(2))
         assert not ok.degraded
         stats = svc.stats()
@@ -574,13 +574,13 @@ def test_recompile_at_a_full_queue_is_shed():
 
 
 def test_recompile_deadline_covers_its_fallback():
-    deadline = 0.1  # well under rca16's cold compile time
+    deadline = 0.1  # well under rca24's cold compile time
     with CompileService(workers=2) as svc:
         base = svc.compile(ripple_carry_netlist(2))
         t0 = time.perf_counter()
         with pytest.raises(CompileTimeout):
             svc.recompile(
-                ripple_carry_netlist(16), base, CompileOptions(deadline=deadline)
+                ripple_carry_netlist(24), base, CompileOptions(deadline=deadline)
             )
         elapsed = time.perf_counter() - t0
         stats = svc.stats()

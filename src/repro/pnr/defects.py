@@ -46,18 +46,12 @@ import numpy as np
 from repro.arch.montecarlo import cell_fail_probability, strict_margin_cell_yield
 from repro.fabric.array import CellArray
 from repro.fabric.nandcell import N_INPUTS, N_ROWS
-from repro.pnr.emit import emit_design
-from repro.pnr.flow import PnrError, PnrResult, _build_result
-from repro.pnr.incremental import (
-    DEFAULT_RELEASE_BUDGET_FRAC,
-    IncrementalFallback,
-    ripple_release_placement,
-)
+from repro.pnr.flow import PnrError, PnrResult, _finish
+from repro.pnr.incremental import IncrementalFallback, ripple_release_placement
 from repro.pnr.parallel import checkpoint, fault_point
-from repro.pnr.place import PlacementError, dominance_violations
-from repro.pnr.route import PAIR_INTERNAL_ROWS, Router, RoutingError
+from repro.pnr.place import PlacementError
+from repro.pnr.route import PAIR_INTERNAL_ROWS, Router
 from repro.pnr.techmap import PAIR_PIN_COLUMNS
-from repro.pnr.timing import analyze_timing
 
 __all__ = [
     "DefectMap",
@@ -388,7 +382,6 @@ def repair_for_die(
     *,
     target_period: int | None = None,
     seed: int = 0,
-    release_budget_frac: float = DEFAULT_RELEASE_BUDGET_FRAC,
     stats: dict | None = None,
 ) -> PnrResult:
     """Adapt a golden compile to one defective die, reusing its work.
@@ -403,10 +396,6 @@ def repair_for_die(
     target_period, seed:
         As in :func:`repro.pnr.flow.compile_to_fabric`; the seed feeds
         only the displaced gates' greedy re-seed.
-    release_budget_frac:
-        Cap on the fraction of gates the dominance ripple may unfix
-        before the warm path gives up (see
-        :func:`repro.pnr.incremental.ripple_release_placement`).
     stats:
         Optional dict the repair fills with its reuse accounting:
         ``displaced`` / ``moved`` gate counts and the router's
@@ -451,10 +440,10 @@ def repair_for_die(
             # Nothing to re-place: the golden placement IS the repaired
             # placement (and was already proven dominance-legal), so the
             # die only pays for re-routing its defect-crossing nets.
-            placement = golden.placement
+            placement, moved = golden.placement, set()
         else:
             try:
-                placement = ripple_release_placement(
+                placement, moved = ripple_release_placement(
                     design,
                     golden.region,
                     golden.placement.positions,
@@ -464,7 +453,6 @@ def repair_for_die(
                     # slightly larger displaced set, or escalation never
                     # explores.
                     seed=seed + 7919 * wave,
-                    release_budget_frac=release_budget_frac,
                     blocked=defect_map.dead_cells,
                     pair_blocked=pair_blocked_cells(defect_map),
                 )
@@ -472,15 +460,6 @@ def repair_for_die(
                 raise RepairFallback(f"repair placement declined: {e}") from e
             except PlacementError as e:
                 raise RepairFallback(f"repair placement jammed: {e}") from e
-            if dominance_violations(design, placement):
-                raise RepairFallback("repaired placement violates dominance")
-
-        moved = set(displaced)
-        moved.update(
-            name
-            for name, pos in placement.positions.items()
-            if golden.placement.positions.get(name, pos) != pos
-        )
         router = Router(
             design,
             placement,
@@ -531,14 +510,8 @@ def repair_for_die(
             f"(of {len(failed)}) stayed unroutable"
         )
 
-    target = CellArray(*shape)
-    report = analyze_timing(
-        design, placement, state=router.state, routes=routes,
-        target_period=target_period,
-    )
-    counts = emit_design(target, router.state)
     try:
-        assert_defect_clean(target, defect_map)
+        result = _finish(golden.source, router, target_period=target_period)
     except DefectViolation as e:
         raise RepairFallback(f"repair emitted onto a defect: {e}") from e
     if stats is not None:
@@ -548,10 +521,4 @@ def repair_for_die(
             replayed=router.n_replayed,
             searched=router.n_searched,
         )
-    return _build_result(
-        golden.source, design, target, golden.region, placement, routes,
-        counts,
-        n_routable=len(router.routable_nets()),
-        report=report,
-        defect_map=defect_map,
-    )
+    return result

@@ -275,7 +275,10 @@ def compile_to_fabric(
         Restrict placement and routing to a floorplan region (the whole
         array when ``None``) — cells there must be blank.
     seed, anneal_steps, max_attempts:
-        Determinism and effort knobs; each retry reseeds the annealer.
+        Determinism and effort knobs.  Each retry re-seeds the greedy
+        placement; even attempts anneal it, odd ones route the sparser
+        greedy seed as is, unless a ``defect_map`` is given, which
+        anneals every attempt.
     target_period:
         Required cycle time for slack reporting (default: the design's
         ideal-wire logic depth — see :mod:`repro.pnr.timing`).
@@ -331,13 +334,8 @@ def compile_to_fabric(
             anneal_steps=anneal_steps, max_attempts=max_attempts,
             target_period=target_period, workers=workers,
         )
-    try:
-        design = map_netlist(netlist)
-        gate_levels(design)  # fail fast on grid-level feedback
-    except (TechMapError, PlacementError) as e:
-        raise PnrError(f"cannot compile {netlist.name!r}: {e}") from e
     result, _ = _compile_mapped(
-        design, netlist, array=array, region=region, seed=seed,
+        _map_design(netlist), netlist, array=array, region=region, seed=seed,
         anneal_steps=anneal_steps, max_attempts=max_attempts,
         target_period=target_period, defect_map=defect_map,
     )
@@ -366,7 +364,6 @@ def _compile_mapped(
     state, which the sharded flow reads to time the system and
     attribute channel ports; neither is persisted with the result.
     """
-    auto_array = array is None
     if defect_map is not None:
         if array is not None and (array.n_rows, array.n_cols) != defect_map.shape:
             raise PnrError(
@@ -381,7 +378,7 @@ def _compile_mapped(
     else:
         blocked = None
         pair_blocked = None
-    if auto_array:
+    if array is None:
         depth = max(gate_levels(design).values(), default=0) + 1
         stateful = design.has_stateful_gates()
     last_error: Exception | None = None
@@ -389,40 +386,27 @@ def _compile_mapped(
         # Cooperative cancellation: a service deadline cancels between
         # attempts (and inside each attempt's anneal/route loops).
         checkpoint()
-        if auto_array:
-            if defect_map is not None:
-                # The defect map names a concrete die, so its shape IS
-                # the array shape — retries reseed the annealer instead
-                # of growing the grid.
-                shape = defect_map.shape
-                target = None
-            else:
-                # Size without building: a CellArray is only constructed
-                # once placement and routing succeed (failed attempts and
-                # sizing probes never pay for cell allocation).
-                side = suggest_side(
-                    depth, design.n_cells, stateful, slack=2 + 2 * attempt
-                )
-                if max_side is not None and side > max_side:
-                    # The cap wins: retries re-seed the annealer instead
-                    # of growing the grid.
-                    side = max_side
-                target = None
-                shape = (side, side)
-        else:
-            target = array
+        if array is not None:
             shape = (array.n_rows, array.n_cols)
-        reg = region or Region("pnr", 0, 0, *shape)
-        if target is not None:
-            _check_region(target, reg)
-        elif (
-            reg.row + reg.n_rows > shape[0] or reg.col + reg.n_cols > shape[1]
-        ):
-            # An explicit region must fit the auto-sized array — the
-            # same contract _check_region enforces for explicit arrays.
-            raise PnrError(
-                f"region {reg.name!r} exceeds the {shape[0]}x{shape[1]} array"
+        elif defect_map is not None:
+            # The defect map names a concrete die, so its shape IS the
+            # array shape — retries reseed the annealer instead of
+            # growing the grid.
+            shape = defect_map.shape
+        else:
+            # Size without building: a CellArray is only constructed
+            # once placement and routing succeed (failed attempts and
+            # sizing probes never pay for cell allocation).
+            side = suggest_side(
+                depth, design.n_cells, stateful, slack=2 + 2 * attempt
             )
+            if max_side is not None and side > max_side:
+                # The cap wins: retries re-seed the annealer instead
+                # of growing the grid.
+                side = max_side
+            shape = (side, side)
+        reg = region or Region("pnr", 0, 0, *shape)
+        _check_region(shape, reg, array)
         rng = random.Random(seed + 7919 * attempt)
         try:
             placement = initial_placement(
@@ -440,33 +424,17 @@ def _compile_mapped(
                     blocked=blocked,
                 )
             router = Router(
-                design, placement, shape, reg, array=target,
+                design, placement, shape, reg, array=array,
                 defects=defect_map,
             )
-            routes = router.route_design(strict=True)
+            router.route_design(strict=True)
         except (PlacementError, RoutingError) as e:
             last_error = e
             continue
-        if target is None:
-            target = CellArray(*shape)
-        report = analyze_timing(
-            design, placement, state=router.state, routes=routes,
-            target_period=target_period,
-        )
-        counts = emit_design(target, router.state)
-        if defect_map is not None:
-            # The construction above guarantees cleanliness; this check
-            # is the proof the contract demands (a DefectViolation here
-            # is a flow bug, not a retryable placement jam).
-            from repro.pnr.defects import assert_defect_clean
-
-            assert_defect_clean(target, defect_map)
-        result = _build_result(
-            netlist, design, target, reg, placement, routes, counts,
-            n_routable=len(router.routable_nets()),
-            report=report,
-            defect_map=defect_map,
-        )
+        # Placement and routing avoid every defect, so a DefectViolation
+        # from the proof is a flow bug, not a retryable placement jam:
+        # it propagates.
+        result = _finish(netlist, router, target_period=target_period)
         return result, router.state
     raise PnrError(
         f"could not compile {netlist.name!r} after {max_attempts} attempts: "
@@ -474,15 +442,15 @@ def _compile_mapped(
     ) from last_error
 
 
-def _check_region(array: CellArray, region: Region) -> None:
-    if (
-        region.row + region.n_rows > array.n_rows
-        or region.col + region.n_cols > array.n_cols
-    ):
+def _check_region(shape, region: Region, array: CellArray | None) -> None:
+    """``region`` must fit a ``shape`` array and, on the caller's
+    ``array``, cover only blank cells."""
+    if region.row + region.n_rows > shape[0] or region.col + region.n_cols > shape[1]:
         raise PnrError(
-            f"region {region.name!r} exceeds the {array.n_rows}x"
-            f"{array.n_cols} array"
+            f"region {region.name!r} exceeds the {shape[0]}x{shape[1]} array"
         )
+    if array is None:
+        return
     configured = array.configured_cells(
         range(region.row, region.row + region.n_rows),
         range(region.col, region.col + region.n_cols),
@@ -492,10 +460,40 @@ def _check_region(array: CellArray, region: Region) -> None:
         raise PnrError(f"region {region.name!r} overlaps configured cell ({r},{c})")
 
 
-def _build_result(
-    netlist, design, array, region, placement, routes, counts, n_routable,
-    report=None, defect_map=None,
+def _map_design(netlist: Netlist) -> MappedDesign:
+    """Tech-map ``netlist`` for a compile engine; :class:`PnrError` if
+    the fabric cannot host it (unmappable, or grid-level feedback)."""
+    try:
+        design = map_netlist(netlist)
+        gate_levels(design)
+    except (TechMapError, PlacementError) as e:
+        raise PnrError(f"cannot compile {netlist.name!r}: {e}") from e
+    return design
+
+
+def _finish(
+    netlist: Netlist, router: Router, *, target_period: int | None
 ) -> PnrResult:
+    """The back half of every compile engine, from a routed ``router`` on.
+
+    Routed STA, emit onto the router's array (the caller's, or a new
+    one of its shape), prove the configuration clean against the
+    router's defect map when it has one (else
+    :class:`repro.pnr.defects.DefectViolation`), package the result.
+    """
+    design, placement, routes = router.design, router.placement, router.routes
+    array, defect_map = router.array, router.defects
+    if array is None:
+        array = CellArray(*router.shape)
+    report = analyze_timing(
+        design, placement, state=router.state, routes=routes,
+        target_period=target_period,
+    )
+    counts = emit_design(array, router.state)
+    if defect_map is not None:
+        from repro.pnr.defects import assert_defect_clean
+
+        assert_defect_clean(array, defect_map)
     input_wires = {}
     for net in design.inputs:
         route = routes.get(net)
@@ -509,27 +507,26 @@ def _build_result(
         driven = [w for w in route.wires if w != route.entry_wire]
         if driven:
             output_wires[net] = wire_name(*driven[0])
-    wirelength = sum(r.wirelength for r in routes.values())
     stats = PnrStats(
         n_source_cells=netlist.n_cells,
         n_gates=design.n_gates,
         cells_logic=counts["cells_logic"],
         cells_route=counts["cells_route"],
-        wirelength=wirelength,
+        wirelength=sum(r.wirelength for r in routes.values()),
         hpwl=hpwl(design, placement),
         routed_nets=len(routes),
-        total_nets=n_routable,
-        region_cells=region.cells,
+        total_nets=len(router.routable_nets()),
+        region_cells=router.region.cells,
         area=routed_area_breakdown(counts["cells_logic"], counts["cells_route"]),
-        cycle_time=report.cycle_time if report else 0,
-        worst_slack=report.worst_slack if report else 0,
-        logic_delay=report.logic_delay if report else 0,
+        cycle_time=report.cycle_time,
+        worst_slack=report.worst_slack,
+        logic_delay=report.logic_delay,
     )
     return PnrResult(
         source=netlist,
         design=design,
         array=array,
-        region=region,
+        region=router.region,
         placement=placement,
         routes=routes,
         input_wires=input_wires,

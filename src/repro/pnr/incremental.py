@@ -1,10 +1,9 @@
 """Cross-compile incremental recompiles: edit, re-place the delta, replay.
 
-PR 5 taught the compile flow to reuse its own work *within* one
-compile — warm-started re-anneals and route-journal replays across the
-timing-driven ladder rungs and rip-up passes.  This module lifts that
-machinery **across compile boundaries**: given a cached
-:class:`repro.pnr.flow.PnrResult` and an edited netlist,
+The router reuses its own work *within* one compile: every rip-up
+pass replays the journals of the nets the failed pass did route.  This
+module lifts that machinery **across compile boundaries**: given a
+cached :class:`repro.pnr.flow.PnrResult` and an edited netlist,
 :func:`compile_incremental`
 
 1. tech-maps the edited netlist and diffs the mapped gates against the
@@ -20,9 +19,10 @@ machinery **across compile boundaries**: given a cached
    unchanged replays its committed claim journal verbatim
    (:meth:`repro.pnr.route.Router.route_design`), and only the
    disturbed nets pay for an A* search;
-4. re-times, re-emits and re-verifies exactly like a cold compile.
+4. re-times, re-emits and packages the result through the cold
+   flow's own back half (:func:`repro.pnr.flow._finish`).
 
-When the edit is too large (``max_delta_frac``), the region cannot host
+When the edit is too large (:data:`MAX_DELTA_FRAC`), the region cannot host
 the grown design, or the delta placement/routing jams,
 :class:`IncrementalFallback` is raised — the compile service catches it
 and falls back to a full cold compile, so the delta path can only ever
@@ -44,20 +44,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.fabric.array import CellArray
 from repro.netlist.ir import Netlist
-from repro.pnr.emit import emit_design
-from repro.pnr.flow import PnrError, PnrResult, _build_result
+from repro.pnr.flow import PnrError, PnrResult, _finish, _map_design
 from repro.pnr.parallel import checkpoint
 from repro.pnr.place import (
+    Placement,
     PlacementError,
     dominance_violations,
-    gate_levels,
     initial_placement,
 )
 from repro.pnr.route import Router, RoutingError
-from repro.pnr.techmap import MappedDesign, TechMapError, map_netlist
-from repro.pnr.timing import analyze_timing
+from repro.pnr.techmap import MappedDesign
 
 __all__ = [
     "DesignDelta",
@@ -72,13 +69,13 @@ __all__ = [
 #: this point re-placing the delta greedily costs quality the anneal
 #: would have bought back, and the replay fraction is too small to pay
 #: for skipping it.
-DEFAULT_MAX_DELTA_FRAC = 0.25
+MAX_DELTA_FRAC = 0.25
 
 #: How much of the design the dominance ripple (see
-#: :func:`compile_incremental`) may unfix before falling back: released
-#: gates are re-seeded greedily without an anneal, so past this point
-#: the "incremental" compile would mostly be a worse cold compile.
-DEFAULT_RELEASE_BUDGET_FRAC = 0.5
+#: :func:`ripple_release_placement`) may unfix before falling back:
+#: released gates are re-seeded greedily without an anneal, so past
+#: this point the warm compile would mostly be a worse cold compile.
+RELEASE_BUDGET_FRAC = 0.5
 
 
 class IncrementalFallback(PnrError):
@@ -150,12 +147,10 @@ def design_delta(base: MappedDesign, new: MappedDesign) -> DesignDelta:
     )
 
 
-def _connectivity_moved(
-    base: MappedDesign, new: MappedDesign, touched: frozenset[str]
-) -> set[str]:
+def _connectivity_moved(base: MappedDesign, new: MappedDesign) -> set[str]:
     """Gates whose nets must re-search rather than replay.
 
-    Beyond the touched gates themselves, any net whose *pin list*
+    Beyond the re-placed gates themselves, any net whose *pin list*
     changed (a sink gained, lost, or re-pinned — e.g. an edit rewired
     one input of an otherwise-identical gate) must not replay its old
     journal: the replay would re-claim input columns at cells that no
@@ -163,7 +158,7 @@ def _connectivity_moved(
     stale landings up.  Marking every endpoint of such nets as "moved"
     makes :meth:`Router._stale_nets` veto the replay.
     """
-    moved = set(touched)
+    moved = set()
     nets = set(base.sinks_of) | set(new.sinks_of)
     for net in nets:
         b_sinks = base.sinks_of.get(net, [])
@@ -186,12 +181,11 @@ def ripple_release_placement(
     displaced: frozenset[str] | set[str],
     *,
     seed: int,
-    release_budget_frac: float = DEFAULT_RELEASE_BUDGET_FRAC,
     n_edits: int | None = None,
     n_base: int | None = None,
     blocked: frozenset[tuple[int, int]] | None = None,
     pair_blocked: frozenset[tuple[int, int]] | None = None,
-):
+) -> tuple[Placement, set[str]]:
     """Warm greedy placement with a budgeted dominance ripple release.
 
     The shared engine behind :func:`compile_incremental` and
@@ -202,7 +196,7 @@ def ripple_release_placement(
     gate with *no* dominance-legal cell between its frozen fan-ins and
     fan-outs — each release wave then unfixes the fan-out gates of
     everything released so far and retries the (cheap) greedy seed, up
-    to ``release_budget_frac`` of the design — past that, the warm
+    to :data:`RELEASE_BUDGET_FRAC` of the design — past that, the warm
     placement would be mostly greedy anyway, so
     :class:`IncrementalFallback` is raised and the caller compiles
     cold.  ``blocked`` / ``pair_blocked`` thread straight into
@@ -211,6 +205,10 @@ def ripple_release_placement(
     ``n_edits`` / ``n_base`` parameterize the budget accounting (the
     delta path counts removed gates too); they default to the displaced
     count and the design's gate count.
+
+    Returns the placement, proven dominance-legal, and the ``moved``
+    gates whose nets must not replay their journals: ``displaced``
+    plus every gate whose cell differs from ``base_positions``.
     """
     displaced = set(displaced)
     n_edits = len(displaced) if n_edits is None else n_edits
@@ -222,10 +220,10 @@ def ripple_release_placement(
         # ripple waves.
         checkpoint()
         if len(released - displaced) + n_edits > max(
-            1, int(release_budget_frac * n_base)
+            1, int(RELEASE_BUDGET_FRAC * n_base)
         ):
             raise IncrementalFallback(
-                f"release ripple grew past {release_budget_frac:.0%} of the "
+                f"release ripple grew past {RELEASE_BUDGET_FRAC:.0%} of the "
                 f"design ({len(released)} gates)"
             ) from last_jam
         fixed = {
@@ -234,10 +232,11 @@ def ripple_release_placement(
             if name in base_positions and name not in released
         }
         try:
-            return initial_placement(
+            placement = initial_placement(
                 design, region, random.Random(seed ^ 0x1C4E), fixed=fixed,
                 blocked=blocked, pair_blocked=pair_blocked,
             )
+            break
         except PlacementError as e:
             last_jam = e
             grow = set()
@@ -250,17 +249,24 @@ def ripple_release_placement(
             if grow <= released:
                 raise IncrementalFallback(f"delta placement jammed: {e}") from e
             released |= grow
-    raise IncrementalFallback(
-        f"delta placement jammed: {last_jam}"
-    ) from last_jam
+    else:
+        raise IncrementalFallback(
+            f"delta placement jammed: {last_jam}"
+        ) from last_jam
+    if dominance_violations(design, placement):
+        raise IncrementalFallback("warm placement violates dominance")
+    moved = displaced | {
+        name
+        for name, pos in placement.positions.items()
+        if base_positions.get(name, pos) != pos
+    }
+    return placement, moved
 
 
 def compile_incremental(
     netlist: Netlist,
     base: PnrResult,
     *,
-    max_delta_frac: float = DEFAULT_MAX_DELTA_FRAC,
-    release_budget_frac: float = DEFAULT_RELEASE_BUDGET_FRAC,
     target_period: int | None = None,
     seed: int = 0,
 ) -> PnrResult:
@@ -274,36 +280,27 @@ def compile_incremental(
         A previously compiled :class:`PnrResult` of a *similar* design
         (same gate names for the surviving logic).  Sharded results are
         not accepted — raise-and-fallback keeps the delta path simple.
-    max_delta_frac:
-        Fallback threshold on :attr:`DesignDelta.frac`.
-    release_budget_frac:
-        Cap on the fraction of gates the dominance ripple may unfix
-        before the delta path gives up (see the release loop below).
     target_period, seed:
         As in :func:`repro.pnr.flow.compile_to_fabric`; the seed only
         feeds the greedy seeding's tie-break salt for the delta gates.
 
     Returns a fresh :class:`PnrResult` on a new array of the cached
     shape.  Raises :class:`IncrementalFallback` when the edit cannot
-    (or should not) take the delta path, and plain :class:`PnrError`
-    when the netlist is not compilable at all.
+    (or should not) take the delta path — among others when
+    :attr:`DesignDelta.frac` exceeds :data:`MAX_DELTA_FRAC` — and plain
+    :class:`PnrError` when the netlist is not compilable at all.
     """
     if not isinstance(base, PnrResult):
         raise IncrementalFallback(
             "incremental recompile needs a single-array PnrResult base; "
             f"got {type(base).__name__}"
         )
-    try:
-        design = map_netlist(netlist)
-        gate_levels(design)  # fail fast on grid-level feedback
-    except (TechMapError, PlacementError) as e:
-        raise PnrError(f"cannot compile {netlist.name!r}: {e}") from e
-
+    design = _map_design(netlist)
     delta = design_delta(base.design, design)
-    if delta.frac > max_delta_frac:
+    if delta.frac > MAX_DELTA_FRAC:
         raise IncrementalFallback(
             f"delta touches {delta.n_edits} of {delta.n_base} gates "
-            f"({delta.frac:.0%} > {max_delta_frac:.0%})",
+            f"({delta.frac:.0%} > {MAX_DELTA_FRAC:.0%})",
             delta=delta,
         )
     region = base.region
@@ -313,7 +310,6 @@ def compile_incremental(
             f"region offers {region.cells}",
             delta=delta,
         )
-    shape = (base.array.n_rows, base.array.n_cols)
 
     # Ripple release: an edit can rewire a gate so that no cell is
     # dominance-compatible with *both* its new fan-ins and its frozen
@@ -321,37 +317,17 @@ def compile_incremental(
     # gate east pushes its downstream cone east too).  The shared
     # :func:`ripple_release_placement` engine unfixes the fan-out cone
     # one wave at a time up to the release budget, or falls back.
-    placement = ripple_release_placement(
+    placement, moved = ripple_release_placement(
         design, region, base.placement.positions, delta.touched,
-        seed=seed, release_budget_frac=release_budget_frac,
-        n_edits=delta.n_edits, n_base=delta.n_base,
+        seed=seed, n_edits=delta.n_edits, n_base=delta.n_base,
     )
-    if dominance_violations(design, placement):
-        raise IncrementalFallback("warm placement violates dominance")
-
-    moved = _connectivity_moved(base.design, design, delta.touched)
-    moved.update(
-        name
-        for name, pos in placement.positions.items()
-        if base.placement.positions.get(name, pos) != pos
-    )
+    moved |= _connectivity_moved(base.design, design)
     try:
         router = Router(
-            design, placement, shape, region,
-            warm_routes=base.routes, warm_moved=moved,
+            design, placement, (base.array.n_rows, base.array.n_cols),
+            region, warm_routes=base.routes, warm_moved=moved,
         )
-        routes = router.route_design(strict=True)
+        router.route_design(strict=True)
     except (PlacementError, RoutingError) as e:
         raise IncrementalFallback(f"delta routing jammed: {e}") from e
-
-    target = CellArray(*shape)
-    report = analyze_timing(
-        design, placement, state=router.state, routes=routes,
-        target_period=target_period,
-    )
-    counts = emit_design(target, router.state)
-    return _build_result(
-        netlist, design, target, region, placement, routes, counts,
-        n_routable=len(router.routable_nets()),
-        report=report,
-    )
+    return _finish(netlist, router, target_period=target_period)

@@ -60,13 +60,14 @@ from repro.pnr.flow import (
     PnrResult,
     VerificationError,
     _compile_mapped,
+    _map_design,
     _settle_compare,
     _sweep_equivalence,
     lazy_fields,
     suggest_side,
 )
 from repro.pnr.parallel import parallel_map
-from repro.pnr.place import PlacementError, gate_levels
+from repro.pnr.place import gate_levels
 from repro.pnr.route import RoutingState
 from repro.pnr.techmap import (
     CONST_GATE,
@@ -75,8 +76,6 @@ from repro.pnr.techmap import (
     PAIR_EVENTLATCH,
     PRODUCT_AND,
     PRODUCT_NAND,
-    TechMapError,
-    map_netlist,
 )
 from repro.pnr.timing import PathStep, TimingReport, analyze_timing, trace_endpoint
 from repro.sim.values import X, ZERO
@@ -783,7 +782,7 @@ def _resolve_channels(
             raise PnrError(
                 f"channel net {net!r} has no observable wire on shard {src}"
             )
-        # output_wires[net] is wire_name(*driven[0]) — see _build_result.
+        # output_wires[net] is wire_name(*driven[0]) — see flow._finish.
         driven = [w for w in route.wires if w != route.entry_wire]
         source_cell = states[src].driver_cell_of(driven[0]) if driven else None
         sink_wires = {}
@@ -989,11 +988,7 @@ def compile_sharded(
     """
     if n_shards is None and max_side is None:
         raise PnrError("compile_sharded needs n_shards or max_side")
-    try:
-        design = map_netlist(netlist)
-        gate_levels(design)  # fail fast on grid-level feedback
-    except (TechMapError, PlacementError) as e:
-        raise PnrError(f"cannot compile {netlist.name!r}: {e}") from e
+    design = _map_design(netlist)
     max_shards = max(1, design.n_gates)  # a gateless passthrough still ships
     if n_shards is None:
         n0 = 1

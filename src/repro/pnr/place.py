@@ -778,6 +778,9 @@ def anneal_temperatures(
     return temps
 
 
+#: The temperature :func:`anneal_placement`'s cooling ladder ends at.
+ANNEAL_T_END = 0.05
+
 #: Candidate moves drawn and priced per rung when the caller does not
 #: choose.  Each batch shares one temperature, so the ladder has
 #: ``ceil(steps / batch_moves)`` rungs (floored at
@@ -971,8 +974,6 @@ def anneal_placement(
     placement: Placement,
     rng: random.Random,
     steps: int | None = None,
-    t_start: float | None = None,
-    t_end: float = 0.05,
     *,
     batch_moves: int | None = None,
     stats: dict | None = None,
@@ -999,8 +1000,9 @@ def anneal_placement(
 
     ``steps=None`` picks a size-scaled budget; explicit ``steps`` are
     honoured, so ``steps=0`` returns ``placement`` unannealed and a
-    negative budget raises ``ValueError``.  ``t_start`` defaults to
-    ``0.5 * (rows + cols)``.  ``stats``, when given a dict, receives
+    negative budget raises ``ValueError``.  The ladder cools from half
+    the region's perimeter, ``0.5 * (rows + cols)``, to
+    :data:`ANNEAL_T_END`.  ``stats``, when given a dict, receives
     evaluated/accepted move and batch counts; ``move_log`` collects
     ``(gate, target, delta)`` per commit for replay-style testing.
     """
@@ -1023,8 +1025,6 @@ def anneal_placement(
     # One draw seeds the numpy generator, so the whole anneal is a
     # function of the caller's rng state.
     master = rng.getrandbits(64)
-    if t_start is None:
-        t_start = 0.5 * (region.n_rows + region.n_cols)
     if default_budget:
         # Size-scaled budget boost (see MAX_BUDGET_BOOST), with the
         # batch shrunk so the cooling ladder keeps ~MIN_ANNEAL_RUNGS
@@ -1047,7 +1047,9 @@ def anneal_placement(
     gen = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence((master, 0)))
     )
-    temps = anneal_temperatures(n_batches, t_start, t_end)
+    temps = anneal_temperatures(
+        n_batches, 0.5 * (region.n_rows + region.n_cols), ANNEAL_T_END
+    )
     counters = ctx.run_batches(temps, gen, batch_moves, move_log=move_log)
     if stats is not None:
         stats.update(counters)

@@ -92,6 +92,10 @@ _ROWS_OF_MASK: tuple[tuple[int, ...], ...] = tuple(
     for mask in range(1 << N_ROWS)
 )
 
+#: Rip-up-and-retry passes :meth:`Router.route_design` runs before it
+#: gives up on the nets still failing.
+MAX_PASSES = 6
+
 #: ``route_net`` results (see ``_route.c``).
 _OK, _NO_COLUMN, _NO_PATH, _NO_TAP, _PI_TAP, _NO_MEMORY = range(6)
 
@@ -434,7 +438,6 @@ class Router:
         placement: Placement,
         shape: tuple[int, int],
         region: Region,
-        max_passes: int = 6,
         array=None,
         warm_routes: dict[str, NetRoute] | None = None,
         warm_moved: set[str] | None = None,
@@ -445,7 +448,6 @@ class Router:
         self.shape = shape
         self.region = region
         self.defects = defects
-        self.max_passes = max_passes
         self.lib = kernel.load(kernel.ROUTE_SOURCE)
         rows, cols = shape
         #: Per-cell congestion history, grown between rip-up passes so
@@ -539,7 +541,7 @@ class Router:
         spans = net_spans(self.design, self.placement)
         nets = sorted(self.routable_nets(), key=lambda n: spans.get(n, 0))
         failed: list[str] = []
-        for attempt in range(self.max_passes):
+        for attempt in range(MAX_PASSES):
             prev_failed = failed
             failed = []
             ordered = nets
@@ -586,7 +588,7 @@ class Router:
                     failed.append(net)
             if not failed:
                 return self.routes
-            if attempt == self.max_passes - 1:
+            if attempt == MAX_PASSES - 1:
                 break
             # Charge the cells this pass leaned on, then rip everything
             # up and lead with the failures; the routes this pass *did*
@@ -606,7 +608,7 @@ class Router:
             nets = failed + rest
         if strict:
             raise RoutingError(
-                f"unroutable nets after {self.max_passes} passes: "
+                f"unroutable nets after {MAX_PASSES} passes: "
                 f"{failed[:6]} (of {len(failed)})"
             )
         return self.routes

@@ -83,10 +83,10 @@ class TimingReport:
     """Static timing of one compiled design.
 
     ``mode`` records how wire delays were obtained: ``logic`` (zero
-    wires), ``placed`` (Manhattan estimates) or ``routed`` (exact per-net
-    routed wire counts).  ``arrivals`` maps each net to the time its
-    driving wire settles; ``path_through`` to the longest launch-to-
-    capture path passing through it; ``slacks`` to ``target_period -
+    wires) or ``routed`` (exact per-net routed wire counts); the sharded
+    flow's system report says ``sharded``.  ``arrivals`` maps each net
+    to the time its driving wire settles; ``path_through`` to the
+    longest launch-to-capture path passing through it; ``slacks`` to ``target_period -
     path_through``; ``criticality`` to ``path_through / cycle_time`` in
     [0, 1] (1.0 on the critical path).
     """
@@ -144,9 +144,8 @@ def _wire_delays(
 
     Routed mode reads the feed-through hop depth the router recorded for
     each sink's landing wire (and each output's first driven wire) when
-    it committed or replayed the net; placed mode estimates hops from Manhattan distance (a wire reaches
-    the abutting neighbour for free, every further cell is one hop);
-    logic mode prices every wire at zero.
+    it committed or replayed the net; logic mode prices every wire at
+    zero.
     """
     sink_delay: dict[tuple[str, int], int] = {}
     out_delay: dict[str, int] = {}
@@ -160,7 +159,7 @@ def _wire_delays(
                 sink_delay[key] = depth[(r * stride + c) * N_INPUTS + col] * HOP_DELAY
             if net in design.outputs:
                 # The exported tap is the first driven wire — the one
-                # _build_result records in output_wires and the sharded
+                # flow._finish records in output_wires and the sharded
                 # flow splices into inter-array channels.  Deeper
                 # branches of the tree serve internal sinks, whose own
                 # pin arrivals already price them.
@@ -171,23 +170,6 @@ def _wire_delays(
                 else:
                     out_delay[net] = 0
         return sink_delay, out_delay, "routed"
-    if placement is not None:
-        for net, sinks in design.sinks_of.items():
-            src = design.source_of.get(net)
-            sink_cells = [
-                placement.input_cell(design.gates[g]) for g, _ in sinks
-            ]
-            if src is not None:
-                sr, sc = placement.output_cell(design.gates[src])
-            else:
-                # A primary input enters at the dominance corner of its sinks.
-                sr = min((r for r, _ in sink_cells), default=0)
-                sc = min((c for _, c in sink_cells), default=0)
-            for (gname, pin), (tr, tc) in zip(sinks, sink_cells):
-                d = (tr - sr) + (tc - sc)
-                hops = max(0, d - 1) if src is not None else d
-                sink_delay[(gname, pin)] = hops * HOP_DELAY
-        return sink_delay, out_delay, "placed"
     return sink_delay, out_delay, "logic"
 
 
@@ -275,7 +257,7 @@ def analyze_timing(
     design:
         The mapped design (stage 1 output).
     placement:
-        Gate positions; enables Manhattan wire-delay estimates.
+        Gate positions, which locate the critical path's cells.
     state, routes:
         The router's :class:`repro.pnr.route.RoutingState` (its per-wire
         hop depths) and route map; together they enable exact per-net

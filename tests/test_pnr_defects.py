@@ -6,8 +6,7 @@ The ISSUE 8 contract, stated as tests:
   content-addressed — two maps with the same defects share a digest;
 * the samplers are deterministic per seed and tie into the paper's
   Section 3 variation models (``sample_die``);
-* placement never seeds or anneals a gate onto a dead cell, on either
-  the batched or the scalar anneal path;
+* placement never seeds or anneals a gate onto a dead cell;
 * a defect-aware compile verifies dual-backend **and** is proven to
   never configure a dead resource (``assert_defect_clean``);
 * ``repair_for_die`` reuses the golden compile, is deterministic,
@@ -293,8 +292,7 @@ def test_initial_placement_avoids_blocked_cells():
     assert not placed_cells(design, placement) & blocked
 
 
-@pytest.mark.parametrize("batch_moves", [None], ids=["batched"])
-def test_anneal_never_moves_onto_blocked_cells(batch_moves):
+def test_anneal_never_moves_onto_blocked_cells():
     design = map_netlist(ripple_carry_netlist(4))
     region = Region("t", 0, 0, 20, 20)
     blocked = frozenset(
@@ -305,7 +303,7 @@ def test_anneal_never_moves_onto_blocked_cells(batch_moves):
     )
     annealed = anneal_placement(
         design, placement, random.Random(1),
-        steps=600, batch_moves=batch_moves, blocked=blocked,
+        steps=600, blocked=blocked,
     )
     assert not placed_cells(design, annealed) & blocked
 
@@ -545,6 +543,28 @@ def test_repair_falls_back_provably_on_a_hopeless_die(rca4_golden):
     )
     with pytest.raises(RepairFallback):
         repair_for_die(rca4_golden, dm, seed=0)
+
+
+def test_a_failed_defect_proof_falls_back_in_repair_and_raises_cold(
+    rca4_golden, monkeypatch
+):
+    """Compile and repair share one back half, with one split: repair
+    turns a failed defect proof into :class:`RepairFallback` (the die is
+    then compiled cold), while the cold path, which blocks every defect
+    up front, lets the :class:`DefectViolation` propagate as a bug."""
+    import repro.pnr.defects as defects_module
+
+    def refuse(array, defect_map):
+        raise DefectViolation("configuration touches defects: forced")
+
+    monkeypatch.setattr(defects_module, "assert_defect_clean", refuse)
+    dm = die_for(rca4_golden, seed=1)
+    with pytest.raises(RepairFallback, match="emitted onto a defect.*forced"):
+        repair_for_die(rca4_golden, dm, seed=0)
+    with pytest.raises(DefectViolation, match="forced"):
+        compile_to_fabric(
+            ripple_carry_netlist(4), defect_map=dm, seed=0, workers=0
+        )
 
 
 # ---------------------------------------------------------------------------

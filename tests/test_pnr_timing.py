@@ -64,13 +64,6 @@ class TestAnalyzeTiming:
         assert report.worst_slack == 0
         assert report.wire_delay == 0
 
-    def test_placed_mode_estimates_wires(self):
-        nl = one_bit_adder()
-        res = compile_to_fabric(nl, seed=0)
-        report = analyze_timing(res.design, res.placement)
-        assert report.mode == "placed"
-        assert report.cycle_time >= report.logic_delay
-
     @pytest.mark.parametrize(
         "netlist",
         [one_bit_adder(), ripple_carry_netlist(4), inverter_chain(7)],

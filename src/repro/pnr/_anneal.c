@@ -1,21 +1,31 @@
-/* The annealer's per-rung kernel: windows, screening, pricing, commits.
+/* The annealer's rung kernel: draws, windows, screening, pricing,
+ * the accept test and commits.
  *
- * Each temperature rung of repro.pnr.place.anneal_placement draws K
- * candidate moves in numpy (so the rng stream is numpy's) and runs four
- * data-dependent passes here:
+ * Each temperature rung of repro.pnr.place.anneal_placement is one call
+ * of `step`, which runs, in order:
  *
+ *   pick     K gates, uniform over the movable ones;
  *   windows  the dominance window of every picked gate: the floor is the
  *            max over its fan-ins' output cells, the ceiling the min over
  *            its fan-outs' input cells, both clamped to the region;
+ *   targets  K rows, then K columns, uniform inside the windows;
+ *   uniforms K doubles in [0, 1) for the accept test;
  *   screen   drop candidates whose window is empty, that do not move, or
  *            whose target cell is taken; compact the survivors;
  *   price    the exact HPWL delta of every survivor against the current
  *            cache, with IncrementalHpwl.propose semantics;
- *   commit   greedy commits, in draw order, of the candidates numpy's
- *            Metropolis test accepted, under the conflict screen.
+ *   accept   the Metropolis test, with exp(-delta / T) read from the
+ *            caller's table (numpy computed it, so it is numpy's exp);
+ *   commit   greedy commits, in draw order, of the accepted candidates,
+ *            under the conflict screen.
+ *
+ * The draws are numpy's Generator(PCG64) stream, bit for bit: the same
+ * generator, the same bounded-integer and uniform algorithms, in the
+ * order the numpy annealer drew them.  Its state (and next_uint32's
+ * spare half) lives in the caller's array.
  *
  * The kernel keeps no state of its own: everything lives in the caller's
- * arrays, reached through the two structs below, so anneals running on
+ * arrays, reached through the three structs below, so anneals running on
  * different threads share nothing.  Deltas are sums of integer spans,
  * added as doubles in the order the Python oracle adds them.
  */
@@ -51,7 +61,7 @@ typedef struct {
     int64_t *idx;                        /* screened candidates */
     double *deltas;                      /* per screened candidate */
     int64_t *ebeg, *ent_net, *nb;        /* its nets and their new boxes */
-    const uint8_t *accept;
+    uint8_t *accept;                     /* the accept test's verdicts */
     int64_t *touched;                    /* per net: last rung it moved in */
     int64_t *committed;                  /* committed candidates, in order */
     double *total;                       /* running total, best total */
@@ -59,11 +69,22 @@ typedef struct {
     int64_t n_gates;
 } Rung;
 
+/* The rung's random stream and accept table. */
+typedef struct {
+    uint64_t *pcg;            /* state hi, lo, inc hi, lo, has_uint32,
+                                 uinteger: numpy's PCG64 state */
+    const int64_t *movable;   /* the gates a pick draws from */
+    int64_t n_mov;
+    double *u;                /* the rung's uniforms */
+    const double *table;      /* per rung: exp(-d / T) for d = 0..width-1 */
+    int64_t width;
+} Draw;
+
 static int64_t max64(int64_t a, int64_t b) { return a > b ? a : b; }
 static int64_t min64(int64_t a, int64_t b) { return a < b ? a : b; }
 
-/* Target bounds of the k picked gates.  numpy draws each target from
- * [lo, max(lo, hi) + 1), so an empty window still consumes one draw. */
+/* Target bounds of the k picked gates.  Each target is drawn from
+ * [lo, max(lo, hi) + 1), so an empty window still consumes its draw. */
 void windows(const Hpwl *h, Rung *w, int64_t k)
 {
     for (int64_t j = 0; j < k; j++) {
@@ -228,4 +249,85 @@ int64_t commit(Hpwl *h, Rung *w, int64_t n, int64_t rung)
         memcpy(w->best_cols, h->cols, (size_t)w->n_gates * sizeof(int32_t));
     }
     return done;
+}
+
+/* numpy's PCG64: the 128-bit LCG step, then the XSL-RR output. */
+static uint64_t next64(uint64_t *s)
+{
+    typedef unsigned __int128 u128;
+    const u128 mult = (u128)2549297995355413924ULL << 64
+                      | 4865540595714422341ULL;
+    u128 st = ((u128)s[0] << 64 | s[1]) * mult + ((u128)s[2] << 64 | s[3]);
+    s[0] = (uint64_t)(st >> 64);
+    s[1] = (uint64_t)st;
+    uint64_t x = s[0] ^ s[1];
+    unsigned rot = (unsigned)(s[0] >> 58);
+    return (x >> rot) | (x << ((64 - rot) & 63));
+}
+
+/* numpy's next_uint32: the low half of a fresh draw, keeping the high
+ * half for the next call. */
+static uint32_t next32(uint64_t *s)
+{
+    if (s[4]) {
+        s[4] = 0;
+        return (uint32_t)s[5];
+    }
+    uint64_t v = next64(s);
+    s[4] = 1;
+    s[5] = v >> 32;
+    return (uint32_t)v;
+}
+
+/* numpy's Generator.integers(lo, hi1) for a range under 2**32 - 1:
+ * Lemire's bounded draw on 32-bit words; a one-value range draws
+ * nothing. */
+static int64_t bounded(uint64_t *s, int64_t lo, int64_t hi1)
+{
+    uint32_t rng = (uint32_t)(hi1 - lo - 1);
+    if (!rng)
+        return lo;
+    uint32_t excl = rng + 1;
+    uint64_t m = (uint64_t)next32(s) * excl;
+    uint32_t left = (uint32_t)m;
+    if (left < excl) {
+        uint32_t threshold = (UINT32_MAX - rng) % excl;
+        while (left < threshold) {
+            m = (uint64_t)next32(s) * excl;
+            left = (uint32_t)m;
+        }
+    }
+    return lo + (int64_t)(m >> 32);
+}
+
+/* One whole rung at table row rung - 1; returns its commit count, or -1
+ * (before any commit) when a positive delta falls outside the table. */
+int64_t step(Hpwl *h, Rung *w, Draw *d, int64_t k, int64_t rung)
+{
+    uint64_t *s = d->pcg;
+    for (int64_t j = 0; j < k; j++)
+        w->pick[j] = d->movable[bounded(s, 0, d->n_mov)];
+    windows(h, w, k);
+    for (int64_t j = 0; j < k; j++)
+        w->trs[j] = bounded(s, w->lo_r[j], w->hi_r1[j]);
+    for (int64_t j = 0; j < k; j++)
+        w->tcs[j] = bounded(s, w->lo_c[j], w->hi_c1[j]);
+    for (int64_t j = 0; j < k; j++)
+        d->u[j] = (double)(next64(s) >> 11) * (1.0 / 9007199254740992.0);
+    int64_t n = screen(h, w, k);
+    if (!n)
+        return 0;
+    price(h, w, n);
+    const double *bar = d->table + (rung - 1) * d->width;
+    for (int64_t j = 0; j < n; j++) {
+        double delta = w->deltas[j];
+        if (delta <= 0.0) {
+            w->accept[j] = 1;
+            continue;
+        }
+        if (!(delta < (double)d->width) || delta != (double)(int64_t)delta)
+            return -1;
+        w->accept[j] = d->u[w->idx[j]] < bar[(int64_t)delta];
+    }
+    return commit(h, w, n, rung);
 }

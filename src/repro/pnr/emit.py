@@ -79,9 +79,8 @@ def emit_design(array: CellArray, state: RoutingState) -> dict[str, int]:
     """
     design = state.design
     cols = state.n_cols
-    names, widths, inputs, pinned = gate_table(design)
-    positions = state.placement.positions
-    pos = np.array([positions[g] for g in names], np.intp).reshape(-1, 2)
+    _, widths, inputs, pinned = gate_table(design)
+    pos = state.gate_pos
     cell = pos[:, 0] * cols + pos[:, 1]
     gates = list(design.gates.values())
     singles = np.flatnonzero(~pinned)

@@ -45,7 +45,6 @@ from repro.pnr.place import (
     PlacementError,
     anneal_placement,
     gate_levels,
-    hpwl,
     initial_placement,
 )
 from repro.pnr.route import NetRoute, Router, RoutingError, RoutingState
@@ -513,7 +512,7 @@ def _finish(
         cells_logic=counts["cells_logic"],
         cells_route=counts["cells_route"],
         wirelength=sum(r.wirelength for r in routes.values()),
-        hpwl=hpwl(design, placement),
+        hpwl=sum(router.spans.values()),
         routed_nets=len(routes),
         total_nets=len(router.routable_nets()),
         region_cells=router.region.cells,

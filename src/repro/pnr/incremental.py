@@ -129,21 +129,16 @@ class DesignDelta:
         return self.n_edits / max(1, self.n_base)
 
 
-def _gate_signature(gate) -> tuple:
-    return (gate.kind, gate.inputs, gate.output, gate.value, gate.source_delay)
-
-
 def design_delta(base: MappedDesign, new: MappedDesign) -> DesignDelta:
     """Diff two mapped designs gate-by-gate (matched by name)."""
-    added = frozenset(new.gates) - frozenset(base.gates)
-    removed = frozenset(base.gates) - frozenset(new.gates)
-    changed = frozenset(
-        name
-        for name in frozenset(base.gates) & frozenset(new.gates)
-        if _gate_signature(base.gates[name]) != _gate_signature(new.gates[name])
-    )
+    old, cur = base.gates, new.gates
     return DesignDelta(
-        added=added, removed=removed, changed=changed, n_base=base.n_gates
+        added=frozenset(cur.keys() - old.keys()),
+        removed=frozenset(old.keys() - cur.keys()),
+        changed=frozenset(
+            name for name in old.keys() & cur.keys() if old[name] != cur[name]
+        ),
+        n_base=base.n_gates,
     )
 
 
@@ -159,14 +154,15 @@ def _connectivity_moved(base: MappedDesign, new: MappedDesign) -> set[str]:
     makes :meth:`Router._stale_nets` veto the replay.
     """
     moved = set()
-    nets = set(base.sinks_of) | set(new.sinks_of)
-    for net in nets:
-        b_sinks = base.sinks_of.get(net, [])
-        n_sinks = new.sinks_of.get(net, [])
-        if b_sinks == n_sinks and base.source_of.get(net) == new.source_of.get(net):
+    b_of, n_of = base.sinks_of, new.sinks_of
+    b_src, n_src = base.source_of, new.source_of
+    for net in b_of.keys() | n_of.keys():
+        b_sinks = b_of.get(net, [])
+        n_sinks = n_of.get(net, [])
+        if b_sinks == n_sinks and b_src.get(net) == n_src.get(net):
             continue
-        for gname, _pin in list(b_sinks) + list(n_sinks):
-            moved.add(gname)
+        moved.update(gname for gname, _pin in b_sinks)
+        moved.update(gname for gname, _pin in n_sinks)
         for design in (base, new):
             src = design.source_of.get(net)
             if src is not None:
@@ -236,6 +232,9 @@ def ripple_release_placement(
                 design, region, random.Random(seed ^ 0x1C4E), fixed=fixed,
                 blocked=blocked, pair_blocked=pair_blocked,
             )
+            # An earlier wave's jam holds this frame through its
+            # traceback; dropping it frees the cycle by refcount.
+            last_jam = None
             break
         except PlacementError as e:
             last_jam = e

@@ -1,5 +1,7 @@
 """Build, cache and bind the compiled kernels: the annealer's rung
-(``_anneal.c``) and the router's search and replay (``_route.c``).
+(``_anneal.c``: numpy's PCG64 draws, windows, screen, pricing, the
+accept test and commits, one call per rung) and the router's search and
+replay (``_route.c``).
 
 Each kernel is compiled once per source and flag set with the system C
 compiler (``cc``) and cached as
@@ -11,7 +13,7 @@ directory is not writable the library goes to a private
 shared, world-writable location.
 
 Each library is bound through :class:`ctypes.PyDLL`, which keeps the
-GIL held: a call is one rung's pass or one net's routing, microseconds
+GIL held: a call is one rung or one net's routing, microseconds
 of work, and dropping and re-taking the GIL around it costs more than it
 frees.  The flags never
 include ``-ffast-math`` or ``-march=native``, and ``-ffp-contract=off``
@@ -112,7 +114,7 @@ def _struct(name: str, doc: str, layout):
     })
 
 
-_i32, _i64, _f64, _u8 = np.int32, np.int64, np.float64, np.uint8
+_i32, _i64, _f64, _u8, _u64 = np.int32, np.int64, np.float64, np.uint8, np.uint64
 
 #: The kernel's ``Hpwl`` struct: the bounding-box cache.
 Hpwl = _struct("Hpwl", "Mirror of the kernel's ``Hpwl`` struct.", [
@@ -133,6 +135,12 @@ Rung = _struct("Rung", "Mirror of the kernel's ``Rung`` struct.", [
     ("nb", _i64), ("accept", _u8), ("touched", _i64), ("committed", _i64),
     ("total", _f64), ("best_rows", _i32), ("best_cols", _i32),
     ("n_gates", int),
+])
+
+#: The kernel's ``Draw`` struct: the rung's rng state and accept table.
+Draw = _struct("Draw", "Mirror of the kernel's ``Draw`` struct.", [
+    ("pcg", _u64), ("movable", _i64), ("n_mov", int), ("u", _f64),
+    ("table", _f64), ("width", int),
 ])
 
 
@@ -191,8 +199,17 @@ def bind(struct_type, **fields):
                 f"{struct_type.__name__}.{name} needs a C-contiguous "
                 f"{np.dtype(dtype)} array, got {value.dtype}"
             )
-        setattr(s, name, value.ctypes.data)
+        setattr(s, name, _address(value))
     return s
+
+
+def _address(a: np.ndarray) -> int:
+    """The address of ``a``'s first byte.  A ctypes view is a third the
+    cost of ``a.ctypes.data``; read-only and empty arrays refuse one."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):
+        return a.ctypes.data
 
 
 _P = ctypes.c_void_p
@@ -204,6 +221,7 @@ _EXPORTS = {
         ("screen", _I, [_P, _P, _I]),
         ("price", None, [_P, _P, _I]),
         ("commit", _I, [_P, _P, _I, _I]),
+        ("step", _I, [_P, _P, _P, _I, _I]),
     ),
     ROUTE_SOURCE.name: (
         ("route_net", _I, [_P, _P, _P]),

@@ -67,7 +67,7 @@ from repro.pnr.flow import (
     suggest_side,
 )
 from repro.pnr.parallel import parallel_map
-from repro.pnr.place import gate_levels
+from repro.pnr.place import gate_levels, level_order
 from repro.pnr.route import RoutingState
 from repro.pnr.techmap import (
     CONST_GATE,
@@ -115,11 +115,6 @@ class Partition:
     def shard_of(self, gate: str) -> int:
         """Shard index hosting ``gate``."""
         return self.assignment[gate]
-
-
-def _topo_order(design: MappedDesign) -> list[str]:
-    levels = gate_levels(design)
-    return sorted(design.gates, key=lambda n: (levels[n], n))
 
 
 def _initial_chunks(
@@ -460,7 +455,7 @@ def partition_design(
         raise PartitionError(
             f"cannot split {design.n_gates} gates into {n_shards} shards"
         )
-    order = _topo_order(design)
+    order = level_order(design)
     assignment = _initial_chunks(design, order, n_shards)
     if refine and n_shards > 1:
         for k in range(n_shards - 1):

@@ -24,8 +24,8 @@ Two phases, in the spirit of the annealing placers in Kuree/cgra_pnr:
   from :class:`IncrementalHpwl` — a VPR-style cached per-net bounding
   box updated in O(pins of the moved gate) with *exact* deltas, so the
   accept/reject trajectory for a seed is identical to a full recompute;
-  each rung's windows, pricing and commits run in the C kernel of
-  :mod:`repro.pnr.kernel` (see ``docs/performance.md``).
+  each rung (draws, windows, pricing, accept test, commits) is one call
+  of the C kernel of :mod:`repro.pnr.kernel` (see ``docs/performance.md``).
 
 Both operate inside a :class:`repro.fabric.floorplan.Region`, so a design
 can be compiled into a carved-out module slot of a shared array.
@@ -92,42 +92,54 @@ def gate_levels(design: MappedDesign) -> dict[str, int]:
     Computed once per design (:meth:`MappedDesign.memo`); each call
     returns a fresh copy.
     """
-    return dict(design.memo("levels", _levels))
+    return dict(design.memo("levels", _levels)[0])
 
 
-def _levels(design: MappedDesign) -> dict[str, int]:
-    preds: dict[str, set[str]] = {name: set() for name in design.gates}
-    succs: dict[str, list[str]] = {name: [] for name in design.gates}
-    for g in design.gates.values():
+def level_order(design: MappedDesign) -> list[str]:
+    """Gate names sorted by ``(level, name)``: the order placement
+    seeding, timing and partitioning walk the graph in.  Cached per
+    design, like :func:`gate_levels`; do not mutate."""
+    return design.memo("levels", _levels)[1]
+
+
+def _levels(design: MappedDesign) -> tuple[dict[str, int], list[str]]:
+    """Levels and level order, one frontier of ready gates at a time.
+
+    A gate is ready once every input pin driven by a gate has been
+    counted off, one count per pin, through the driver's ``sinks_of``.
+    """
+    gates, source_of, sinks_of = design.gates, design.source_of, design.sinks_of
+    pending: dict[str, int] = {}
+    for name, g in gates.items():
+        n = 0
         for net in g.inputs:
-            src = design.source_of.get(net)
-            if src == g.name:
-                # A self-loop is the smallest grid-level cycle: the
-                # sink cell would have to dominate itself strictly.
+            src = source_of.get(net)
+            if src is None:
+                continue
+            if src == name:
+                # A self-loop is the smallest grid-level cycle: the sink
+                # cell would have to dominate itself strictly.
                 raise PlacementError(
-                    f"gate {g.name!r} reads its own output {net!r}; the "
+                    f"gate {name!r} reads its own output {net!r}; the "
                     "east/north fabric routes acyclic nets only (close "
                     "loops through the environment or a cell pair's lfb)"
                 )
-            if src is not None:
-                preds[g.name].add(src)
-    for name, ps in preds.items():
-        for p in ps:
-            succs[p].append(name)
+            n += 1
+        pending[name] = n
     level: dict[str, int] = {}
-    ready = [name for name, ps in preds.items() if not ps]
-    indeg = {name: len(ps) for name, ps in preds.items()}
-    order = []
-    while ready:
-        name = ready.pop()
-        order.append(name)
-        level[name] = max(
-            (level[p] + 1 for p in preds[name]), default=0
-        )
-        for s in succs[name]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                ready.append(s)
+    order: list[str] = []
+    frontier = sorted(name for name, n in pending.items() if not n)
+    depth = 0
+    while frontier:
+        ready = []
+        for name in frontier:
+            level[name] = depth
+            for sink, _pin in sinks_of.get(gates[name].output, ()):
+                pending[sink] -= 1
+                if not pending[sink]:
+                    ready.append(sink)
+        order += frontier
+        frontier, depth = sorted(ready), depth + 1
     if len(order) != len(design.gates):
         stuck = sorted(set(design.gates) - set(order))
         raise PlacementError(
@@ -135,28 +147,20 @@ def _levels(design: MappedDesign) -> dict[str, int]:
             f"{stuck[:6]}; the east/north fabric routes acyclic nets only "
             "(close loops through the environment or a cell pair's lfb)"
         )
-    return level
-
-
-def _edges(design: MappedDesign) -> list[tuple[str, str]]:
-    """(source gate, sink gate) for every gate-to-gate connection."""
-    out = []
-    for g in design.gates.values():
-        for net in g.inputs:
-            src = design.source_of.get(net)
-            if src is not None and src != g.name:
-                out.append((src, g.name))
-    return out
+    return level, order
 
 
 def dominance_violations(design: MappedDesign, placement: Placement) -> int:
     """Edges whose sink is not in the up-right quadrant of its source."""
+    gates, source_of, pos = design.gates, design.source_of, placement.positions
     bad = 0
-    for src, dst in _edges(design):
-        sr, sc = placement.output_cell(design.gates[src])
-        tr, tc = placement.input_cell(design.gates[dst])
-        if tr < sr or tc < sc:
-            bad += 1
+    for name, g in gates.items():
+        tr, tc = pos[name]
+        for net in g.inputs:
+            src = source_of.get(net)
+            if src is not None and src != name:
+                sr, sc = pos[src]
+                bad += tr < sr or tc < sc + gates[src].width - 1
     return bad
 
 
@@ -166,13 +170,14 @@ def _net_pins(design: MappedDesign):
     index in design order.  Cached per design."""
     def compute(d):
         names = list(d.gates)
-        index = {g: k for k, g in enumerate(names)}
-        sinks_of = d.sinks_of
+        index = dict(zip(names, range(len(names))))
+        sinks_of, gates = d.sinks_of, d.gates
         nets = [net for net, sinks in sinks_of.items() if sinks]
         lens = np.array([len(sinks_of[net]) for net in nets], np.intp)
         sinks = [index[g] for net in nets for g, _ in sinks_of[net]]
-        src = [index.get(d.source_of.get(net), -1) for net in nets]
-        off = [d.gates[names[k]].width - 1 if k >= 0 else 0 for k in src]
+        src_gate = list(map(d.source_of.get, nets))
+        src = [index.get(g, -1) for g in src_gate]
+        off = [0 if g is None else gates[g].width - 1 for g in src_gate]
         return (
             nets, names, np.array(sinks, np.intp), np.cumsum(lens) - lens,
             np.array(src, np.intp), np.array(off, np.intp),
@@ -266,18 +271,23 @@ def initial_placement(
             f"{region.name!r} offers {capacity}"
         )
     salt_base = rng.getrandbits(32) if rng is not None else 0
-    last: PlacementError | None = None
-    for variant in (1, 0, 2, 3):
+    # Failures re-raise from their handler: a jam kept in a local would
+    # sit in a reference cycle with its traceback's frames.
+    for variant in _SEED_VARIANTS:
         try:
             return _seed_once(
                 design, region, variant, salt_base, fixed,
                 blocked=blocked, pair_blocked=pair_blocked,
             )
-        except PlacementError as e:
-            last = e
-            if isinstance(e, _PinnedWindowError):
-                break  # no other tie-break can open this window
-    raise last
+        except _PinnedWindowError:
+            raise  # no other tie-break can open this window
+        except PlacementError:
+            if variant == _SEED_VARIANTS[-1]:
+                raise
+
+
+#: The greedy seed's tie-break policies, in the order they are tried.
+_SEED_VARIANTS = (1, 0, 2, 3)
 
 
 def _seed_once(
@@ -296,58 +306,67 @@ def _seed_once(
     ties (conserving the columns deep chains march east through) with
     hash-spread rows; variants 2 and 3 fall back to plain lexicographic
     packing (low-column-first, then low-row-first).  Gates named in
-    ``fixed`` are claimed at their given positions before the scan.
+    ``fixed`` are claimed at their given positions before the first
+    candidate scan.
     """
-    levels = gate_levels(design)
     fixed = fixed or {}
-    order = sorted(
-        (n for n in design.gates if n not in fixed),
-        key=lambda n: (levels[n], n),
-    )
+    order = [n for n in level_order(design) if n not in fixed]
     placement = Placement(region=region)
     row0, col0 = region.row, region.col
     row_hi = region.row + region.n_rows - 1
     col_hi = region.col + region.n_cols - 1
-    free = np.zeros((row_hi + 1, col_hi + 1), dtype=bool)
-    free[row0:, col0:] = True
+    # Row-major grids of byte flags (scalar reads of a bytearray are
+    # several times cheaper than of a numpy array).
+    ones = bytes(col0) + b"\1" * region.n_cols
+    free = [
+        bytearray(ones if r >= row0 else len(ones)) for r in range(row_hi + 1)
+    ]
     if blocked:
         for br, bc in blocked:
             if 0 <= br <= row_hi and 0 <= bc <= col_hi:
-                free[br, bc] = False
+                free[br][bc] = 0
     pair_blocked = pair_blocked or frozenset()
     mid_row = region.row + region.n_rows // 2
     #: Cells fixed-pin macros depend on for pin delivery (their west and
     #: south neighbours): placing anything there, or making two macros
     #: share one, invites routing contention.
-    soft_reserved = np.zeros_like(free)
+    soft_reserved = [bytearray(len(ones)) for _ in free]
     #: Input cells of placed pair macros: candidates for further pairs
     #: are repelled from them, since clustered fixed-pin macros starve
     #: the shared west/south delivery cells of rows and columns.
     pair_cells: list[tuple[int, int]] = []
 
-    for name, (fr, fc) in fixed.items():
-        gate = design.gates.get(name)
-        if gate is None:
-            raise PlacementError(f"fixed gate {name!r} is not in the design")
-        for k in range(gate.width):
-            if not (row0 <= fr <= row_hi and col0 <= fc + k <= col_hi):
-                raise PlacementError(
-                    f"fixed gate {name!r} at ({fr},{fc}) leaves region "
-                    f"{region.name!r}"
-                )
-            if not free[fr, fc + k]:
-                raise PlacementError(
-                    f"fixed gate {name!r} overlaps cell ({fr},{fc + k})"
-                )
-            free[fr, fc + k] = False
-        placement.positions[name] = (fr, fc)
-        if gate.width == 2:
-            pair_cells.append((fr, fc))
-            if fc - 1 >= col0:
-                soft_reserved[fr, fc - 1] = True
-            if fr - 1 >= row0:
-                soft_reserved[fr - 1, fc] = True
+    def claim_fixed() -> None:
+        gates = design.gates
+        for name, (fr, fc) in fixed.items():
+            gate = gates.get(name)
+            if gate is None:
+                raise PlacementError(f"fixed gate {name!r} is not in the design")
+            width = gate.width
+            for k in range(width):
+                if not (row0 <= fr <= row_hi and col0 <= fc + k <= col_hi):
+                    raise PlacementError(
+                        f"fixed gate {name!r} at ({fr},{fc}) leaves region "
+                        f"{region.name!r}"
+                    )
+                if not free[fr][fc + k]:
+                    raise PlacementError(
+                        f"fixed gate {name!r} overlaps cell ({fr},{fc + k})"
+                    )
+                free[fr][fc + k] = 0
+            placement.positions[name] = (fr, fc)
+            if width == 2:
+                pair_cells.append((fr, fc))
+                if fc - 1 >= col0:
+                    soft_reserved[fr][fc - 1] = 1
+                if fr - 1 >= row0:
+                    soft_reserved[fr - 1][fc] = 1
 
+    # Fixed gates bound the windows from the start, but take their cells
+    # on the grid only when the first candidate scan needs them: a warm
+    # wave that jams on a pinned window (below) skips the claim.
+    placement.positions.update(fixed)
+    unclaimed = bool(fixed)
     for name in order:
         gate = design.gates[name]
         width = gate.width
@@ -395,6 +414,9 @@ def _seed_once(
                     f"gate {name!r}: no dominance-legal window between its "
                     "fan-ins and pre-placed fan-outs"
                 )
+        if unclaimed:
+            claim_fixed()
+            unclaimed = False
         # Stable per-gate salt for the tie-break mix (not Python's
         # salted str hash — this must agree across runs and platforms).
         salt = salt_base
@@ -405,7 +427,7 @@ def _seed_once(
             if width == 2 and (r, c) in pair_blocked:
                 return None
             for k in range(width):
-                if not free[r, c + k]:
+                if not free[r][c + k]:
                     return None
             cost = base
             if pin_weight:
@@ -413,12 +435,12 @@ def _seed_once(
                     if (
                         fr < row0
                         or fc < col0
-                        or not free[fr, fc]
-                        or soft_reserved[fr, fc]
+                        or not free[fr][fc]
+                        or soft_reserved[fr][fc]
                     ):
                         cost += pin_weight
             for k in range(width):
-                if soft_reserved[r, c + k]:
+                if soft_reserved[r][c + k]:
                     cost += 2
             if width == 2:
                 # Pair macros read several fixed pin columns, each
@@ -474,13 +496,15 @@ def _seed_once(
             )
         placement.positions[name] = best
         br, bc = best
-        free[br, bc:bc + width] = False
+        free[br][bc:bc + width] = bytes(width)
         if width == 2:
             pair_cells.append(best)
             if bc - 1 >= col0:
-                soft_reserved[br, bc - 1] = True
+                soft_reserved[br][bc - 1] = 1
             if br - 1 >= row0:
-                soft_reserved[br - 1, bc] = True
+                soft_reserved[br - 1][bc] = 1
+    if unclaimed:
+        claim_fixed()
     return placement
 
 
@@ -494,7 +518,10 @@ class IncrementalHpwl:
     zero, in which case that net alone is rescanned in O(its pins).
     Deltas are therefore *exact* (not the VPR approximation): the
     accept/reject trajectory under a fixed seed is identical to a full
-    recompute, which is what keeps annealed results reproducible.
+    recompute, which is what keeps annealed results reproducible.  That
+    update runs in the kernel's ``price`` pass; :meth:`propose` here
+    rescans each incident net instead, an independent reference the
+    kernel is tested against.
 
     Gate positions live in numpy int32 arrays (``rows`` / ``cols``,
     indexed by ``index[name]``); :meth:`propose` prices a move without
@@ -574,76 +601,19 @@ class IncrementalHpwl:
     def _scan(
         self, k: int, moved: int, new_r: int, new_c: int
     ) -> tuple[int, int, int, int, int, int, int, int]:
-        """Full bbox + edge-count rescan of net ``k`` (gate ``moved`` at
-        its hypothetical new position)."""
-        rows, cols = self.rows, self.cols
-        rmin = cmin = 1 << 30
-        rmax = cmax = -(1 << 30)
-        pts = []
-        for gi, off in self.net_pins[k]:
-            if gi == moved:
-                r, c = new_r, new_c + off
-            else:
-                r, c = int(rows[gi]), int(cols[gi]) + off
-            pts.append((r, c))
-            if r < rmin:
-                rmin = r
-            if r > rmax:
-                rmax = r
-            if c < cmin:
-                cmin = c
-            if c > cmax:
-                cmax = c
-        nrmin = nrmax = ncmin = ncmax = 0
-        for r, c in pts:
-            if r == rmin:
-                nrmin += 1
-            if r == rmax:
-                nrmax += 1
-            if c == cmin:
-                ncmin += 1
-            if c == cmax:
-                ncmax += 1
-        return (rmin, rmax, cmin, cmax, nrmin, nrmax, ncmin, ncmax)
-
-    def _bbox_after(
-        self, k: int, gi: int, offs: tuple[int, ...],
-        old_r: int, old_c: int, new_r: int, new_c: int,
-    ) -> tuple[int, int, int, int, int, int, int, int]:
-        rmin, rmax, cmin, cmax, nrmin, nrmax, ncmin, ncmax = self._box(k)
-        for off in offs:
-            # Remove the old pin point from the edge counts.
-            if old_r == rmin:
-                nrmin -= 1
-            if old_r == rmax:
-                nrmax -= 1
-            oc = old_c + off
-            if oc == cmin:
-                ncmin -= 1
-            if oc == cmax:
-                ncmax -= 1
-            if nrmin == 0 or nrmax == 0 or ncmin == 0 or ncmax == 0:
-                # The move vacated a bounding edge: rescan this net.
-                return self._scan(k, gi, new_r, new_c)
-            # Add the new pin point.
-            if new_r < rmin:
-                rmin, nrmin = new_r, 1
-            elif new_r == rmin:
-                nrmin += 1
-            if new_r > rmax:
-                rmax, nrmax = new_r, 1
-            elif new_r == rmax:
-                nrmax += 1
-            nc = new_c + off
-            if nc < cmin:
-                cmin, ncmin = nc, 1
-            elif nc == cmin:
-                ncmin += 1
-            if nc > cmax:
-                cmax, ncmax = nc, 1
-            elif nc == cmax:
-                ncmax += 1
-        return (rmin, rmax, cmin, cmax, nrmin, nrmax, ncmin, ncmax)
+        """Net ``k``'s bbox and edge pin counts, rescanned with gate
+        ``moved`` at ``(new_r, new_c)``."""
+        pins = self.net_pins[k]
+        rs = [new_r if g == moved else int(self.rows[g]) for g, _ in pins]
+        cs = [
+            (new_c if g == moved else int(self.cols[g])) + off
+            for g, off in pins
+        ]
+        r0, r1, c0, c1 = min(rs), max(rs), min(cs), max(cs)
+        return (
+            r0, r1, c0, c1,
+            rs.count(r0), rs.count(r1), cs.count(c0), cs.count(c1),
+        )
 
     # -- the move API ----------------------------------------------------
     def propose(
@@ -654,12 +624,11 @@ class IncrementalHpwl:
         Returns ``(delta, updates)``; pass ``updates`` to :meth:`commit`
         to apply the move.
         """
-        old_r, old_c = int(self.rows[gi]), int(self.cols[gi])
         delta = 0.0
         updates: list[tuple[int, tuple]] = []
-        for k, offs in self.gate_nets[gi]:
+        for k, _offs in self.gate_nets[gi]:
             old = self._box(k)
-            new = self._bbox_after(k, gi, offs, old_r, old_c, new_r, new_c)
+            new = self._scan(k, gi, new_r, new_c)
             d = ((new[1] - new[0]) + (new[3] - new[2])) - (
                 (old[1] - old[0]) + (old[3] - old[2])
             )
@@ -809,8 +778,32 @@ MAX_BUDGET_BOOST = 8
 GATES_PER_BOOST = 15
 
 #: Smallest batch the default path shrinks to.  Below this a rung
-#: stops amortizing its fixed overhead (the numpy draws and calls).
+#: stops amortizing its fixed overhead (the cancellation checkpoint
+#: and the kernel call).
 MIN_BATCH_MOVES = 64
+
+
+def _pcg_state(bits: np.random.PCG64) -> np.ndarray:
+    """``bits``' state as the kernel's ``Draw.pcg`` words: the 128-bit
+    LCG state and increment (high word first), then ``next_uint32``'s
+    spare-half flag and value."""
+    st, m = bits.state, (1 << 64) - 1
+    s, inc = st["state"]["state"], st["state"]["inc"]
+    return np.array(
+        [s >> 64, s & m, inc >> 64, inc & m, st["has_uint32"], st["uinteger"]],
+        np.uint64,
+    )
+
+
+def _accept_table(temps: list[float], span: int) -> np.ndarray:
+    """Per rung, numpy's Metropolis bar ``exp(-d / max(T, 1e-9))`` for
+    every integer delta ``d`` in ``0..span``.
+
+    The kernel reads the bar from here rather than calling libm's
+    ``exp``, which rounds differently from numpy's on some arguments.
+    """
+    t = np.maximum(np.asarray(temps), 1e-9)[:, None]
+    return np.exp(-np.arange(span + 1.0) / t)
 
 
 def _csr(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -880,28 +873,35 @@ class _AnnealContext:
     def run_batches(
         self,
         temps: list[float],
-        gen: np.random.Generator,
+        pcg: np.ndarray,
         batch_moves: int,
         move_log: list | None = None,
     ) -> dict[str, int]:
         """Anneal one batch of ``batch_moves`` candidates per rung.
 
-        numpy draws every rung's gates, targets (inside the windows the
-        kernel computed) and uniforms, in a fixed, data-independent
-        order, and applies the Metropolis test; the kernel screens and
-        prices the candidates, then commits the accepted ones greedily
-        in draw order under a conflict screen: a candidate is skipped
-        when any net its pricing read was touched by an earlier commit
-        of the same rung (which also covers stale dominance windows — a
-        moved fan-in/fan-out always shares a net with the gate), or when
-        its target cell was claimed meanwhile.  Commits apply the exact
-        cache update, so ``cost.total`` tracks a from-scratch recompute
-        bit-for-bit.
+        Each rung is one kernel call, ``step``.  It draws the rung's
+        gates, targets (inside the windows it computed) and uniforms from
+        ``pcg`` (a :func:`_pcg_state` array, advanced in place) exactly
+        as numpy's ``Generator`` would, in a fixed, data-independent
+        order; screens and prices the candidates; applies the Metropolis
+        test with :func:`_accept_table`'s numpy ``exp``; and commits the
+        accepted ones greedily in draw order under a conflict screen: a
+        candidate is skipped when any net its pricing read was touched by
+        an earlier commit of the same rung (which also covers stale
+        dominance windows — a moved fan-in/fan-out always shares a net
+        with the gate), or when its target cell was claimed meanwhile.
+        Commits apply the exact cache update, so ``cost.total`` tracks a
+        from-scratch recompute bit-for-bit.  Python keeps the
+        cancellation checkpoint and the move log.
         """
         k = batch_moves
         accepted = 0
         if not len(self.movable):
             return {"evaluated": 0, "accepted": 0, "batches": 0}
+        if pcg.shape != (6,):
+            raise ValueError(
+                f"pcg needs the 6 words of _pcg_state, got {pcg.shape}"
+            )
         cost, ev, lib = self.cost, self.evaluator, self.evaluator.lib
         region = self.region
         total = np.array([cost.total, cost.total])
@@ -921,36 +921,37 @@ class _AnnealContext:
             best_rows=self.best_rows, best_cols=self.best_cols,
             n_gates=len(cost.names),
         )
+        # A delta is an integer of at most max_nets spans, none longer
+        # than the region's half-perimeter.
+        table = _accept_table(
+            temps, ev.max_nets * (region.n_rows + region.n_cols - 2)
+        )
+        draw = kernel.bind(
+            kernel.Draw, pcg=pcg, movable=self.movable,
+            n_mov=len(self.movable), u=np.zeros(k), table=table,
+            width=table.shape[1],
+        )
         a = w.arrays
         pick, trs, tcs, idx = a["pick"], a["trs"], a["tcs"], a["idx"]
-        lo_r, hi_r1, lo_c, hi_c1 = a["lo_r"], a["hi_r1"], a["lo_c"], a["hi_c1"]
-        deltas, accept = a["deltas"], a["accept"].view(bool)
-        h, wp = ev.h, ctypes.addressof(w)
-        movable, n_mov = self.movable, len(self.movable)
-        for rung, temp in enumerate(temps, 1):
+        deltas = a["deltas"]
+        h, wp, dp = ev.h, ctypes.addressof(w), ctypes.addressof(draw)
+        for rung in range(1, len(temps) + 1):
             # Cooperative cancellation: a service deadline cancels
             # between temperature rungs (one batch is bounded work).
             checkpoint()
-            np.take(movable, gen.integers(0, n_mov, k), out=pick)
-            lib.windows(h, wp, k)
-            np.copyto(trs, gen.integers(lo_r, hi_r1))
-            np.copyto(tcs, gen.integers(lo_c, hi_c1))
-            u = gen.random(k)
-            n = lib.screen(h, wp, k)
-            if not n:
-                continue
-            lib.price(h, wp, n)
-            d = deltas[:n]
-            bar = np.exp(-np.maximum(d, 0.0) / max(temp, 1e-9))
-            np.logical_or(d <= 0.0, u[idx[:n]] < bar, out=accept[:n])
-            done = lib.commit(h, wp, n, rung)
+            done = lib.step(h, wp, dp, k, rung)
+            if done < 0:
+                raise RuntimeError(
+                    f"anneal rung {rung} priced a delta outside its "
+                    f"{table.shape[1]}-entry accept table"
+                )
             accepted += done
             if move_log is not None and done:
                 for j in a["committed"][:done].tolist():
                     c = int(idx[j])
                     move_log.append((
                         cost.names[pick[c]], (int(trs[c]), int(tcs[c])),
-                        float(d[j]),
+                        float(deltas[j]),
                     ))
         cost.total = float(total[0])
         return {
@@ -993,9 +994,9 @@ def anneal_placement(
     Candidates are drawn and priced ``batch_moves`` at a time — one
     temperature rung per batch, Metropolis acceptance applied greedily
     in draw order under a conflict screen (see
-    :meth:`_AnnealContext.run_batches`).  The rung's windows, pricing
-    and commits run in the C kernel (:mod:`repro.pnr.kernel`), built on
-    the first anneal; a missing compiler raises
+    :meth:`_AnnealContext.run_batches`).  Each rung is one call of the
+    C kernel (:mod:`repro.pnr.kernel`), built on the first anneal; a
+    missing compiler raises
     :class:`~repro.pnr.kernel.KernelBuildError` there.
 
     ``steps=None`` picks a size-scaled budget; explicit ``steps`` are
@@ -1022,7 +1023,7 @@ def anneal_placement(
     auto_batch = batch_moves is None
     if batch_moves is None:
         batch_moves = DEFAULT_BATCH_MOVES
-    # One draw seeds the numpy generator, so the whole anneal is a
+    # One draw seeds the PCG64 stream, so the whole anneal is a
     # function of the caller's rng state.
     master = rng.getrandbits(64)
     if default_budget:
@@ -1044,13 +1045,11 @@ def anneal_placement(
     else:
         n_batches = max(1, -(-steps // batch_moves))
     ctx = _AnnealContext(design, placement, blocked=blocked)
-    gen = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((master, 0)))
-    )
+    pcg = _pcg_state(np.random.PCG64(np.random.SeedSequence((master, 0))))
     temps = anneal_temperatures(
         n_batches, 0.5 * (region.n_rows + region.n_cols), ANNEAL_T_END
     )
-    counters = ctx.run_batches(temps, gen, batch_moves, move_log=move_log)
+    counters = ctx.run_batches(temps, pcg, batch_moves, move_log=move_log)
     if stats is not None:
         stats.update(counters)
     return ctx.best_placement()

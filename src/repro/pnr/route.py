@@ -42,7 +42,6 @@ from __future__ import annotations
 import ctypes
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -56,6 +55,7 @@ from repro.pnr.techmap import (
     MappedDesign,
     PAIR_CELEMENT,
     PAIR_EVENTLATCH,
+    PAIR_PIN_COLUMNS,
 )
 
 #: Owner of an unclaimed wire or input column.  Nets own wires and
@@ -138,9 +138,12 @@ def net_ids(design: MappedDesign) -> dict[str, int]:
     """Every net a gate reads or drives, interned to a dense id (cached
     per design)."""
     def compute(d):
-        names = dict.fromkeys(chain(
-            d.nets(), chain.from_iterable(g.inputs for g in d.gates.values())
-        ))
+        # Inputs, then gate outputs, then nets read but never driven, in
+        # first-appearance order (``source_of`` and ``sinks_of`` are
+        # keyed in gate order).
+        names = dict.fromkeys(d.inputs)
+        names.update(d.source_of)
+        names.update(d.sinks_of)
         return dict(zip(names, range(len(names))))
 
     return design.memo("route_net_ids", compute)
@@ -150,8 +153,14 @@ def net_wire_bound(design: MappedDesign, shape: tuple[int, int]) -> int:
     """The most wires one net can claim: routing is monotone, so each
     sink's path is at most ``rows + cols + 1`` wires, plus an output tap
     and its entry."""
-    sinks = max(map(len, design.sinks_of.values()), default=0)
-    return (sinks + 1) * (shape[0] + shape[1] + 2)
+    return (max_fanout(design) + 1) * (shape[0] + shape[1] + 2)
+
+
+def max_fanout(design: MappedDesign) -> int:
+    """The most sinks any net has (cached per design)."""
+    return design.memo(
+        "max_fanout", lambda d: max(map(len, d.sinks_of.values()), default=0)
+    )
 
 
 class GateTable(NamedTuple):
@@ -172,23 +181,25 @@ def gate_table(design: MappedDesign) -> GateTable:
     """The gates of ``design`` as arrays (cached per design)."""
     def compute(d):
         ids = net_ids(d)
-        gates = list(d.gates.values())
+        gates = d.gates.values()
         lens = np.array([len(g.inputs) for g in gates], np.intp)
-        flat = [ids[net] for g in gates for net in g.inputs]
-        inputs = np.full((len(gates), N_INPUTS), -2, np.int32)
-        starts = np.cumsum(lens) - lens
-        inputs[
-            np.repeat(np.arange(len(gates)), lens),
-            np.arange(len(flat)) - np.repeat(starts, lens),
-        ] = flat
+        inputs = np.full((len(lens), N_INPUTS), -2, np.int32)
+        # Row-major boolean assignment fills each gate's first pins.
+        inputs[np.arange(N_INPUTS) < lens[:, None]] = [
+            ids[net] for g in gates for net in g.inputs
+        ]
         return GateTable(
-            names=[g.name for g in gates],
+            names=list(d.gates),
             widths=np.array([g.width for g in gates], np.intp),
             inputs=inputs,
-            pinned=np.array([g.pin_columns is not None for g in gates], bool),
+            pinned=np.array([g.kind in PAIR_PIN_COLUMNS for g in gates], bool),
         )
 
     return design.memo("gate_table", compute)
+
+
+#: ``[j, i]``: pin ``i`` comes before pin ``j``.
+_EARLIER_PIN = np.tri(N_INPUTS, k=-1, dtype=bool)
 
 
 class RoutingState:
@@ -251,10 +262,12 @@ class RoutingState:
             "k": n_cells * N_INPUTS,
             "c": n_cells,
         }
-        self.arrays = {
-            name: np.full(extent[size], init, np.int32)
-            for name, size, init in self._LAYOUT
-        }
+        buf = np.empty(sum(extent[size] for _, size, _ in self._LAYOUT), np.int32)
+        self.arrays, at = {}, 0
+        for name, size, init in self._LAYOUT:
+            view = self.arrays[name] = buf[at:at + extent[size]]
+            view.fill(init)
+            at += extent[size]
         self.arrays["col_seq"] = col_seq = np.zeros(n_cells * N_INPUTS, np.int64)
         vars(self).update(self.arrays)
         a = self.arrays
@@ -283,7 +296,8 @@ class RoutingState:
 
         table = gate_table(design)
         positions = placement.positions
-        pos = np.array(
+        #: Each gate's ``(row, col)``, in :func:`gate_table` order.
+        self.gate_pos = pos = np.array(
             [positions[g] for g in table.names], np.intp
         ).reshape(-1, 2)
         cell = pos[:, 0] * cols + pos[:, 1]
@@ -293,9 +307,8 @@ class RoutingState:
         pend_out[cell + widths - 1] = 1
         # A flexible gate owes a column to each distinct input net.
         inputs = table.inputs
-        owed = (inputs >= 0) & ~table.pinned[:, None]
-        for j in range(1, N_INPUTS):
-            owed[:, j] &= ~(inputs[:, :j] == inputs[:, j:j + 1]).any(axis=1)
+        repeat = (inputs[:, :, None] == inputs[:, None, :]) & _EARLIER_PIN
+        owed = (inputs >= 0) & ~table.pinned[:, None] & ~repeat.any(axis=2)
         n_pend[cell] = owed.sum(axis=1)
         slots = np.where(owed, inputs, FREE)
         pend.reshape(-1, N_INPUTS)[cell] = slots
@@ -326,8 +339,7 @@ class RoutingState:
         # The undo log holds one net's claims: at most 9 entries per
         # wire (a monotone path per sink and an output tap) and 4 per
         # sink landing.
-        sinks = max(map(len, design.sinks_of.values()), default=0)
-        cap = 9 * net_wire_bound(design, shape) + 4 * sinks + 64
+        cap = 9 * net_wire_bound(design, shape) + 4 * max_fanout(design) + 64
         self._c = kernel.bind(
             kernel.RouteState,
             rows=rows, cols=cols,
@@ -471,12 +483,15 @@ class Router:
         self._use_warm = bool(self.warm_routes)
         self._ids = self.state.net_ids
         self._plans: dict[str, tuple] = {}
+        #: Every net's placed half-perimeter (see ``net_spans``), set by
+        #: ``route_design``, which routes short nets first.
+        self.spans: dict[str, int] = {}
         self._routable: list[str] | None = None
         # One search grid and one journal buffer, reused by every net:
         # grid slots are valid only where their generation stamp matches
         # the current search, so "clearing" is a counter increment.
         n_wires = (rows + 1) * (cols + 1) * N_INPUTS
-        max_sinks = max(map(len, design.sinks_of.values()), default=0)
+        max_sinks = max_fanout(design)
         wire_cap = net_wire_bound(design, shape)
         op_cap = 9 * wire_cap + 4 * max_sinks
         i32 = np.int32
@@ -506,9 +521,10 @@ class Router:
     # ------------------------------------------------------------------
     def routable_nets(self) -> list[str]:
         if self._routable is None:
+            sinks_of, outputs = self.design.sinks_of, set(self.design.outputs)
             self._routable = [
                 net for net in self.design.nets()
-                if self.design.sinks_of.get(net) or net in self.design.outputs
+                if sinks_of.get(net) or net in outputs
             ]
         return list(self._routable)
 
@@ -538,7 +554,7 @@ class Router:
         one search plus journal replays, not a full re-route of the
         design.
         """
-        spans = net_spans(self.design, self.placement)
+        spans = self.spans = net_spans(self.design, self.placement)
         nets = sorted(self.routable_nets(), key=lambda n: spans.get(n, 0))
         failed: list[str] = []
         for attempt in range(MAX_PASSES):

@@ -77,6 +77,11 @@ class TechMapError(ValueError):
     """The netlist contains something the NAND fabric cannot host."""
 
 
+#: One NAND row plus its driver, by driver mode.
+_BUFFER_ROW_DELAY = ROW_DELAY + DRIVER_DELAY[DriverMode.BUFFER]
+_INVERT_ROW_DELAY = ROW_DELAY + DRIVER_DELAY[DriverMode.INVERT]
+
+
 @dataclass(frozen=True, slots=True)
 class MappedGate:
     """One placeable unit: a NAND row, a constant row, or a 2-cell pair.
@@ -129,14 +134,12 @@ class MappedGate:
         of the emitted fabric.  See ``docs/timing-model.md``.
         """
         if self.is_stateful:
-            return 2 * (ROW_DELAY + DRIVER_DELAY[DriverMode.BUFFER])
+            return 2 * _BUFFER_ROW_DELAY
         if self.kind == CONST_GATE:
-            mode = DriverMode.BUFFER if self.value == 1 else DriverMode.INVERT
-        elif self.kind == PRODUCT_NAND:
-            mode = DriverMode.BUFFER
+            buffered = self.value == 1
         else:
-            mode = DriverMode.INVERT
-        return ROW_DELAY + DRIVER_DELAY[mode]
+            buffered = self.kind == PRODUCT_NAND
+        return _BUFFER_ROW_DELAY if buffered else _INVERT_ROW_DELAY
 
     @property
     def pin_columns(self) -> tuple[int, ...] | None:
@@ -178,7 +181,9 @@ class MappedDesign:
     @property
     def n_cells(self) -> int:
         """Fabric cells the logic will occupy (before routing)."""
-        return sum(g.width for g in self.gates.values())
+        return self.memo(
+            "n_cells", lambda d: sum(g.width for g in d.gates.values())
+        )
 
     def has_stateful_gates(self) -> bool:
         """True when the design contains feedback pair macros."""
@@ -256,9 +261,9 @@ class _Mapper:
         source_delay: int = 1,
     ) -> str:
         name = self._gate_name(hint)
+        # Positional: a frozen dataclass's keyword call costs a third more.
         self.design.gates[name] = MappedGate(
-            name=name, kind=kind, inputs=inputs, output=output, value=value,
-            source_delay=source_delay,
+            name, kind, inputs, output, value, source_delay
         )
         return output
 

@@ -42,12 +42,11 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from repro.fabric.array import ROW_DELAY
 from repro.fabric.driver import DRIVER_DELAY, DriverMode
 from repro.fabric.nandcell import N_INPUTS
-from repro.pnr.place import Placement, gate_levels
+from repro.pnr.place import Placement, level_order
 from repro.pnr.techmap import MappedDesign
 
 #: Delay of one routed feed-through hop: a single-input NAND row plus its
@@ -147,30 +146,40 @@ def _wire_delays(
     it committed or replayed the net; logic mode prices every wire at
     zero.
     """
-    sink_delay: dict[tuple[str, int], int] = {}
+    if state is None or routes is None:
+        return {}, {}, "logic"
+    stride = state.n_cols + 1
+    # Each gate's input cell as the id of its column-0 wire.
+    base = {
+        g: (r * stride + c) * N_INPUTS
+        for g, (r, c) in (placement or state.placement).positions.items()
+    }
+    keys = [key for route in routes.values() for key in route.sink_cols]
+    wires = [
+        base[g] + col
+        for route in routes.values() for (g, _), col in route.sink_cols.items()
+    ]
+    outs, taps = [], []
     out_delay: dict[str, int] = {}
-    if state is not None and routes is not None:
-        positions = (placement or state.placement).positions
-        depth = state.depth.tolist()
-        stride = state.n_cols + 1
-        for net, route in routes.items():
-            for key, col in route.sink_cols.items():
-                r, c = positions[key[0]]
-                sink_delay[key] = depth[(r * stride + c) * N_INPUTS + col] * HOP_DELAY
-            if net in design.outputs:
-                # The exported tap is the first driven wire — the one
-                # flow._finish records in output_wires and the sharded
-                # flow splices into inter-array channels.  Deeper
-                # branches of the tree serve internal sinks, whose own
-                # pin arrivals already price them.
-                driven = [w for w in route.wires if w != route.entry_wire]
-                if driven:
-                    r, c, i = driven[0]
-                    out_delay[net] = depth[(r * stride + c) * N_INPUTS + i] * HOP_DELAY
-                else:
-                    out_delay[net] = 0
-        return sink_delay, out_delay, "routed"
-    return sink_delay, out_delay, "logic"
+    for net in design.outputs:
+        route = routes.get(net)
+        if route is not None:
+            # The exported tap is the first driven wire — the one
+            # flow._finish records in output_wires and the sharded
+            # flow splices into inter-array channels.  Deeper
+            # branches of the tree serve internal sinks, whose own
+            # pin arrivals already price them.
+            driven = [w for w in route.wires if w != route.entry_wire]
+            if driven:
+                r, c, i = driven[0]
+                outs.append(net)
+                taps.append((r * stride + c) * N_INPUTS + i)
+            else:
+                out_delay[net] = 0
+    depth = state.depth
+    out_delay.update(zip(outs, (depth[taps] * HOP_DELAY).tolist()))
+    sink_delay = dict(zip(keys, (depth[wires] * HOP_DELAY).tolist()))
+    return sink_delay, out_delay, "routed"
 
 
 # ----------------------------------------------------------------------
@@ -181,10 +190,9 @@ def _gate_facts(design: MappedDesign) -> list[tuple]:
     """``(name, inputs, output, is_stateful, fabric_delay)`` per gate in
     propagation order (by level, then name); cached per design."""
     def compute(d):
-        levels = gate_levels(d)
         return [
             (n, g.inputs, g.output, g.is_stateful, g.fabric_delay)
-            for n in sorted(d.gates, key=lambda n: (levels[n], n))
+            for n in level_order(d)
             for g in (d.gates[n],)
         ]
 
@@ -199,8 +207,15 @@ def _logic_delay(design: MappedDesign) -> int:
     """
     launch = dict.fromkeys(design.inputs, 0)
     worst = 0
+    at = launch.get
+    # Plain loops: per gate, a comprehension or ``max(map(...))`` costs
+    # several times the work it wraps.  Launches are never negative.
     for _, inputs, output, stateful, delay in _gate_facts(design):
-        latest = max(map(launch.get, inputs, repeat(0)), default=0)
+        latest = 0
+        for net in inputs:
+            t = at(net, 0)
+            if t > latest:
+                latest = t
         if stateful:
             worst = max(worst, latest)  # captured at the pair's pins
             launch[output] = delay
@@ -213,31 +228,37 @@ def _logic_delay(design: MappedDesign) -> int:
 
 
 def _propagate(design, sink_delay, out_delay, input_arrivals=None):
-    """Forward pass: launch times, pin arrivals, capture events."""
+    """Forward pass: launch times and capture events.
+
+    A pin's arrival is its net's launch plus its wire delay; launches
+    never change once read, since gates go in level order.
+    """
     input_arrivals = input_arrivals or {}
     launch: dict[str, int] = {
         net: int(input_arrivals.get(net, 0)) for net in design.inputs
     }
-    pin_arrival: dict[tuple[str, int], int] = {}
     captures: list[tuple[int, str, str, str | None, int | None]] = []
+    at, wire = launch.get, sink_delay.get
     for gname, inputs, output, stateful, delay in _gate_facts(design):
-        arrivals = []
-        for pin, net in enumerate(inputs):
-            a = launch.get(net, 0) + sink_delay.get((gname, pin), 0)
-            pin_arrival[(gname, pin)] = a
-            arrivals.append(a)
         if stateful:
             for pin, net in enumerate(inputs):
-                captures.append((pin_arrival[(gname, pin)], "pair", net, gname, pin))
+                a = at(net, 0) + wire((gname, pin), 0)
+                captures.append((a, "pair", net, gname, pin))
             launch[output] = delay
-        else:
-            launch[output] = (max(arrivals) if arrivals else 0) + delay
+            continue
+        latest = None
+        for pin, net in enumerate(inputs):
+            a = at(net, 0) + wire((gname, pin), 0)
+            if latest is None or a > latest:
+                latest = a
+        launch[output] = (latest or 0) + delay
     for net in design.outputs:
         if net in launch:
             captures.append(
                 (launch[net] + out_delay.get(net, 0), "output", net, None, None)
             )
-    return launch, pin_arrival, captures
+    return launch, captures
+
 
 
 def analyze_timing(
@@ -286,7 +307,7 @@ def analyze_timing(
     """
     sink_delay, out_delay, mode = _wire_delays(design, placement, state, routes)
 
-    launch, pin_arrival, captures = _propagate(
+    launch, captures = _propagate(
         design, sink_delay, out_delay, input_arrivals
     )
     cycle = max((c[0] for c in captures), default=0)
@@ -301,27 +322,26 @@ def analyze_timing(
         net: out_delay.get(net, 0) + tails.get(net, 0)
         for net in design.outputs
     }
+    below, wire = downstream.get, sink_delay.get
     for gname, inputs, output, stateful, delay in reversed(_gate_facts(design)):
         if stateful:
             tail = 0  # paths capture at the pair's pins
         else:
-            tail = delay + downstream.get(output, 0)
+            tail = delay + below(output, 0)
         for pin, net in enumerate(inputs):
-            cand = sink_delay.get((gname, pin), 0) + tail
-            if cand > downstream.get(net, 0):
+            cand = wire((gname, pin), 0) + tail
+            if cand > below(net, 0):
                 downstream[net] = cand
 
-    path_through: dict[str, int] = {}
-    slacks: dict[str, int] = {}
-    criticality: dict[str, float] = {}
-    for net, at in launch.items():
-        p = at + downstream.get(net, 0)
-        path_through[net] = p
-        slacks[net] = period - p
-        criticality[net] = min(1.0, p / cycle) if cycle > 0 else 0.0
+    path_through = {net: at + below(net, 0) for net, at in launch.items()}
+    slacks = {net: period - p for net, p in path_through.items()}
+    criticality = {
+        net: min(1.0, p / cycle) if cycle > 0 else 0.0
+        for net, p in path_through.items()
+    }
 
     steps, endpoint = _trace_critical_path(
-        design, placement, launch, pin_arrival, sink_delay, out_delay, captures
+        design, placement, launch, sink_delay, out_delay, captures
     )
     return TimingReport(
         mode=mode,
@@ -361,9 +381,7 @@ def trace_endpoint(
     ``endpoint`` is not a reachable declared output.
     """
     sink_delay, out_delay, _ = _wire_delays(design, placement, state, routes)
-    launch, pin_arrival, _ = _propagate(
-        design, sink_delay, out_delay, input_arrivals
-    )
+    launch, _ = _propagate(design, sink_delay, out_delay, input_arrivals)
     if endpoint not in design.outputs or endpoint not in launch:
         raise TimingError(
             f"{endpoint!r} is not a reachable declared output of "
@@ -374,13 +392,13 @@ def trace_endpoint(
         "output", endpoint, None, None,
     )
     steps, _ = _trace_critical_path(
-        design, placement, launch, pin_arrival, sink_delay, out_delay, [capture]
+        design, placement, launch, sink_delay, out_delay, [capture]
     )
     return steps
 
 
 def _trace_critical_path(
-    design, placement, launch, pin_arrival, sink_delay, out_delay, captures
+    design, placement, launch, sink_delay, out_delay, captures
 ):
     """Walk the worst capture back to its launch point, collecting steps."""
     if not captures:
@@ -421,16 +439,16 @@ def _trace_critical_path(
         )
         if gate.is_stateful or not gate.inputs:
             break
-        best_pin = max(
-            range(len(gate.inputs)), key=lambda p: pin_arrival[(src, p)]
-        )
+        best_pin, best = 0, None  # the first latest pin
+        for p, net in enumerate(gate.inputs):
+            a = launch.get(net, 0) + sink_delay.get((src, p), 0)
+            if best is None or a > best:
+                best_pin, best = p, a
         prev = gate.inputs[best_pin]
         wire = sink_delay.get((src, best_pin), 0)
         if wire:
             in_cell = placement.input_cell(gate) if placement is not None else None
-            steps.append(
-                PathStep("wire", prev, in_cell, wire, pin_arrival[(src, best_pin)])
-            )
+            steps.append(PathStep("wire", prev, in_cell, wire, best))
         current = prev
     steps.reverse()
     return steps, endpoint

@@ -6,7 +6,10 @@ hashes the full ``move_log`` (every committed move, in commit order,
 with its exact delta), the ``stats`` counters and the returned
 placement.  The cases cover the default budget on rca5 and mul3, an
 anneal around dead cells, and a design whose gates read one net through
-several pins (``nand(a, a)``), which the pricing must handle exactly.
+several pins (``nand(a, a)``), which the pricing must handle exactly,
+plus a default-budget rca8 and a mul3 on a sampled defective die
+(recorded before the rung's draws and accept test moved into the
+kernel).
 
 A digest may only change in a commit that means to change the anneal
 trajectory (the rng stream, the move set or the accept rule), and that
@@ -25,6 +28,7 @@ from repro.datapath.adder import ripple_carry_netlist
 from repro.datapath.multiplier import array_multiplier_netlist
 from repro.fabric.floorplan import Region
 from repro.pnr import map_netlist
+from repro.pnr.defects import sample_defect_map
 from repro.pnr.flow import suggest_array
 from repro.pnr.place import anneal_placement, initial_placement
 
@@ -84,8 +88,10 @@ def suggested_region(design) -> Region:
          "275847ff4ac24a2b33543e3acb3013d6fe5f12337caee700541989cef55d9f45"),
         (lambda: array_multiplier_netlist(3), 2,
          "a2750ec787c34219451b7be995e54447f7afc5c7e7dfcd17d2bcd154352cef1e"),
+        (lambda: ripple_carry_netlist(8), 4,
+         "fc65670e42a68aa61df7e3e323436478a6f9681fa88fb589e0a116f277e822f9"),
     ],
-    ids=["rca5-seed0", "rca5-seed1", "rca5-seed2", "mul3-seed2"],
+    ids=["rca5-seed0", "rca5-seed1", "rca5-seed2", "mul3-seed2", "rca8-seed4"],
 )
 def test_default_anneal_trajectory_is_pinned(make, seed, digest):
     design = map_netlist(make())
@@ -98,6 +104,19 @@ def test_blocked_anneal_trajectory_is_pinned():
     got = anneal_digest(design, region, 1, blocked=blocked_cells(20))
     assert got == (
         "2d746ba20f5006ac8e7436c58e0882e0ddc1812de2425b92f0866f001b7a4a47"
+    )
+
+
+def test_die_anneal_trajectory_is_pinned():
+    """mul3 around the dead cells of one sampled 24x24 die."""
+    design = map_netlist(array_multiplier_netlist(3))
+    die = sample_defect_map(24, 24, cell_fail=0.02, seed=5)
+    assert len(die.dead_cells) == 19
+    got = anneal_digest(
+        design, Region("t", 0, 0, 24, 24), 6, blocked=die.dead_cells
+    )
+    assert got == (
+        "7b13db4eba8905076f620f0ef62eacc58e379b7b2044fd8d8c7706c915ee9c6e"
     )
 
 

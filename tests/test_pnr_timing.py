@@ -273,5 +273,5 @@ def test_logic_delay_is_the_zero_wire_propagation(make):
     from repro.pnr.timing import _logic_delay, _propagate
 
     design = map_netlist(make())
-    _, _, captures = _propagate(design, {}, {})
+    _, captures = _propagate(design, {}, {})
     assert _logic_delay(design) == max((c[0] for c in captures), default=0)

@@ -7,7 +7,7 @@ and content-addressed: the same seed replays the same disasters, so a
 recovery is a regression test, not an anecdote.
 
 This drill runs three injected failures (the first two against rca8,
-the deadline against the slower rca16) and shows the service
+the deadline against the slower rca24) and shows the service
 recovering from each with the books balanced:
 
 1. **worker kill** — the first pool worker dies mid-job; the
@@ -68,11 +68,11 @@ def main() -> None:
 
     # -- act 3: an impossible deadline ----------------------------------
     deadline = 0.05
-    print(f"\nact 3: deadline expiry ({deadline}s against a cold rca16)")
+    print(f"\nact 3: deadline expiry ({deadline}s against a cold rca24)")
     with CompileService(workers=0) as svc:
         t0 = time.perf_counter()
         try:
-            svc.compile(ripple_carry_netlist(16), CompileOptions(deadline=deadline))
+            svc.compile(ripple_carry_netlist(24), CompileOptions(deadline=deadline))
             raise AssertionError("an impossible deadline must expire")
         except CompileTimeout:
             elapsed = time.perf_counter() - t0

@@ -59,8 +59,6 @@ from repro.pnr.incremental import (
 )
 from repro.pnr.parallel import TaskPool, parallel_map, resolve_workers
 from repro.pnr.place import (
-    BatchMoveEvaluator,
-    IncrementalHpwl,
     Placement,
     PlacementError,
     anneal_placement,
@@ -123,8 +121,6 @@ __all__ = [
     "IncrementalFallback",
     "compile_incremental",
     "design_delta",
-    "BatchMoveEvaluator",
-    "IncrementalHpwl",
     "Placement",
     "PlacementError",
     "anneal_placement",

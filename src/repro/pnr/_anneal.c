@@ -13,7 +13,7 @@
  *   screen   drop candidates whose window is empty, that do not move, or
  *            whose target cell is taken; compact the survivors;
  *   price    the exact HPWL delta of every survivor against the current
- *            cache, with IncrementalHpwl.propose semantics;
+ *            cache, equal to the difference of two from-scratch totals;
  *   accept   the Metropolis test, with exp(-delta / T) read from the
  *            caller's table (numpy computed it, so it is numpy's exp);
  *   commit   greedy commits, in draw order, of the accepted candidates,
@@ -27,13 +27,13 @@
  * The kernel keeps no state of its own: everything lives in the caller's
  * arrays, reached through the three structs below, so anneals running on
  * different threads share nothing.  Deltas are sums of integer spans,
- * added as doubles in the order the Python oracle adds them.
+ * so adding them as doubles is exact.
  */
 
 #include <stdint.h>
 #include <string.h>
 
-/* The cached per-net bounding boxes (IncrementalHpwl's state). */
+/* The cached per-net bounding boxes (built by place._AnnealContext). */
 typedef struct {
     int32_t *rows, *cols;    /* gate positions (input cell) */
     int64_t *boxes;          /* per net: rmin rmax cmin cmax, then the
@@ -125,7 +125,7 @@ int64_t screen(const Hpwl *h, Rung *w, int64_t k)
     return n;
 }
 
-/* IncrementalHpwl._scan: net k's box with gate `moved` at (nr, nc). */
+/* Net k's box and edge pin counts, rescanned with gate `moved` at (nr, nc). */
 static void scan(const Hpwl *h, int64_t k, int64_t moved, int64_t nr,
                  int64_t nc, int64_t *b)
 {
@@ -162,8 +162,9 @@ static void scan(const Hpwl *h, int64_t k, int64_t moved, int64_t nr,
     }
 }
 
-/* IncrementalHpwl._bbox_after: move every pin of gate g on net k (one
- * per offset) from (or_, oc) to (nr, nc); rescan if an edge empties. */
+/* Net k's box after moving every pin of gate g on it (one per offset)
+ * from (or_, oc) to (nr, nc): O(1) per pin through the edge pin counts,
+ * with a rescan if an edge empties. */
 static void bbox_after(const Hpwl *h, int64_t k, int64_t g, int64_t grp,
                        int64_t or_, int64_t oc, int64_t nr, int64_t nc,
                        int64_t *b)
@@ -186,8 +187,8 @@ static void bbox_after(const Hpwl *h, int64_t k, int64_t g, int64_t grp,
     }
 }
 
-/* Exact deltas of the n screened candidates (IncrementalHpwl.propose),
- * with each candidate's nets and replacement boxes kept for commit. */
+/* Exact deltas of the n screened candidates, with each candidate's nets
+ * and replacement boxes kept for commit. */
 void price(const Hpwl *h, Rung *w, int64_t n)
 {
     int64_t e = 0;

@@ -20,12 +20,12 @@ Two phases, in the spirit of the annealing placers in Kuree/cgra_pnr:
 * :func:`anneal_placement` — simulated annealing over single-gate
   relocations confined to each gate's dominance window, with
   half-perimeter wirelength (HPWL) cost; every accepted state stays
-  legal by construction and the best state seen wins.  Move costs come
-  from :class:`IncrementalHpwl` — a VPR-style cached per-net bounding
-  box updated in O(pins of the moved gate) with *exact* deltas, so the
-  accept/reject trajectory for a seed is identical to a full recompute;
-  each rung (draws, windows, pricing, accept test, commits) is one call
-  of the C kernel of :mod:`repro.pnr.kernel` (see ``docs/performance.md``).
+  legal by construction and the best state seen wins.  Each rung (draws,
+  windows, pricing, accept test, commits) is one call of the C kernel of
+  :mod:`repro.pnr.kernel`, which keeps VPR-style per-net bounding boxes
+  updated in O(pins of the moved gate) with *exact* deltas, so the
+  trajectory for a seed is that of a full recompute with :func:`hpwl`
+  (see ``docs/performance.md``).
 
 Both operate inside a :class:`repro.fabric.floorplan.Region`, so a design
 can be compiled into a carved-out module slot of a shared array.
@@ -508,226 +508,6 @@ def _seed_once(
     return placement
 
 
-class IncrementalHpwl:
-    """Cached per-net bounding boxes with exact O(pins of gate) updates.
-
-    The VPR-style structure behind :func:`anneal_placement`: every net
-    keeps its bounding box **and the number of pins sitting on each of
-    the four edges**, so moving one gate updates each incident net in
-    O(1) — unless the move vacates an edge whose pin count drops to
-    zero, in which case that net alone is rescanned in O(its pins).
-    Deltas are therefore *exact* (not the VPR approximation): the
-    accept/reject trajectory under a fixed seed is identical to a full
-    recompute, which is what keeps annealed results reproducible.  That
-    update runs in the kernel's ``price`` pass; :meth:`propose` here
-    rescans each incident net instead, an independent reference the
-    kernel is tested against.
-
-    Gate positions live in numpy int32 arrays (``rows`` / ``cols``,
-    indexed by ``index[name]``); :meth:`propose` prices a move without
-    committing, :meth:`commit` applies it, and :attr:`total` always
-    equals :func:`hpwl` of the current state.
-    """
-
-    def __init__(self, design: MappedDesign, placement: Placement) -> None:
-        self.design = design
-        names = list(design.gates)
-        self.names = names
-        self.index = {n: i for i, n in enumerate(names)}
-        n = len(names)
-        self.rows = np.zeros(n, dtype=np.int32)
-        self.cols = np.zeros(n, dtype=np.int32)
-        self.widths = np.zeros(n, dtype=np.int32)
-        for i, nm in enumerate(names):
-            r, c = placement.positions[nm]
-            self.rows[i] = r
-            self.cols[i] = c
-            self.widths[i] = design.gates[nm].width
-
-        # One pin list per net: (gate index, column offset) — the output
-        # pin sits on the gate's east cell, sinks on its input cell.
-        # Multiplicity is kept (a pair macro may read a net twice).
-        net_names: list[str] = []
-        net_id: dict[str, int] = {}
-        pins: list[list[tuple[int, int]]] = []
-
-        def nid(net: str) -> int:
-            k = net_id.get(net)
-            if k is None:
-                k = net_id[net] = len(net_names)
-                net_names.append(net)
-                pins.append([])
-            return k
-
-        for g in design.gates.values():
-            pins[nid(g.output)].append((self.index[g.name], g.width - 1))
-        for net, sinks in design.sinks_of.items():
-            k = nid(net)
-            for gname, _pin in sinks:
-                gi = self.index.get(gname)
-                if gi is not None:
-                    pins[k].append((gi, 0))
-        self.net_names = net_names
-        self.net_pins = pins
-
-        # Per-gate incident pin occurrences, grouped by net.
-        by_gate: list[dict[int, list[int]]] = [{} for _ in range(n)]
-        for k, plist in enumerate(pins):
-            for gi, off in plist:
-                by_gate[gi].setdefault(k, []).append(off)
-        self.gate_nets: list[list[tuple[int, tuple[int, ...]]]] = [
-            sorted((k, tuple(offs)) for k, offs in d.items()) for d in by_gate
-        ]
-
-        # Bounding boxes + edge pin counts, one row per net:
-        # (rmin, rmax, cmin, cmax, nrmin, nrmax, ncmin, ncmax).  A 2-D
-        # numpy array rather than a list of tuples so the batched
-        # evaluator can gather every candidate's incident boxes in one
-        # fancy-index; :meth:`propose` reads rows back as python ints
-        # through :meth:`_box`.
-        m = len(net_names)
-        self._boxes = np.zeros((m, 8), dtype=np.int64)
-        self.total = 0.0
-        for k in range(m):
-            box = self._scan(k, -1, 0, 0)
-            self._boxes[k] = box
-            self.total += (box[1] - box[0]) + (box[3] - box[2])
-
-    # -- internals -------------------------------------------------------
-    def _box(self, k: int) -> list[int]:
-        """Net ``k``'s cached row, as plain python ints."""
-        return self._boxes[k].tolist()
-
-    def _scan(
-        self, k: int, moved: int, new_r: int, new_c: int
-    ) -> tuple[int, int, int, int, int, int, int, int]:
-        """Net ``k``'s bbox and edge pin counts, rescanned with gate
-        ``moved`` at ``(new_r, new_c)``."""
-        pins = self.net_pins[k]
-        rs = [new_r if g == moved else int(self.rows[g]) for g, _ in pins]
-        cs = [
-            (new_c if g == moved else int(self.cols[g])) + off
-            for g, off in pins
-        ]
-        r0, r1, c0, c1 = min(rs), max(rs), min(cs), max(cs)
-        return (
-            r0, r1, c0, c1,
-            rs.count(r0), rs.count(r1), cs.count(c0), cs.count(c1),
-        )
-
-    # -- the move API ----------------------------------------------------
-    def propose(
-        self, gi: int, new_r: int, new_c: int
-    ) -> tuple[float, list[tuple[int, tuple]]]:
-        """Exact HPWL delta of moving gate ``gi``; commits nothing.
-
-        Returns ``(delta, updates)``; pass ``updates`` to :meth:`commit`
-        to apply the move.
-        """
-        delta = 0.0
-        updates: list[tuple[int, tuple]] = []
-        for k, _offs in self.gate_nets[gi]:
-            old = self._box(k)
-            new = self._scan(k, gi, new_r, new_c)
-            d = ((new[1] - new[0]) + (new[3] - new[2])) - (
-                (old[1] - old[0]) + (old[3] - old[2])
-            )
-            delta += d
-            updates.append((k, new))
-        return delta, updates
-
-    def commit(
-        self, gi: int, new_r: int, new_c: int,
-        delta: float, updates: list[tuple[int, tuple]],
-    ) -> None:
-        """Apply a move priced by :meth:`propose`."""
-        self.rows[gi] = new_r
-        self.cols[gi] = new_c
-        for k, box in updates:
-            self._boxes[k] = box
-        self.total += delta
-
-    def move(self, name: str, position: tuple[int, int]) -> float:
-        """Relocate gate ``name``; returns the exact cost delta applied."""
-        gi = self.index[name]
-        delta, updates = self.propose(gi, *position)
-        self.commit(gi, *position, delta, updates)
-        return delta
-
-
-class BatchMoveEvaluator:
-    """Exact pricing of K single-gate moves against one cache state, in C.
-
-    The compiled companion to :class:`IncrementalHpwl`: candidate moves
-    arrive as arrays ``(gis, trs, tcs)`` and the kernel's ``price`` pass
-    (``_anneal.c``) runs :meth:`IncrementalHpwl.propose` on each — the
-    per-pin edge-count update, the rescan when a move empties a bounding
-    edge, and gates reading one net through several pins (``nand(a, a)``
-    style) alike.  Deltas are bit-equal to one-move pricing, which is
-    what keeps the annealer's ``cache == scratch`` invariant intact.  The
-    kernel reads and writes ``cost``'s arrays in place.
-    """
-
-    def __init__(self, cost: IncrementalHpwl) -> None:
-        self.cost = cost
-        self.lib = kernel.load()
-        grp_ptr, grp_net, off_ptr, off = [0], [], [0], []
-        for nets in cost.gate_nets:
-            for k, offs in nets:
-                grp_net.append(k)
-                off.extend(offs)
-                off_ptr.append(len(off))
-            grp_ptr.append(len(grp_net))
-        pin_ptr, pin_gate, pin_off = [0], [], []
-        for plist in cost.net_pins:
-            for gi, o in plist:
-                pin_gate.append(gi)
-                pin_off.append(o)
-            pin_ptr.append(len(pin_gate))
-        #: Most nets any one gate touches: entries per priced candidate.
-        self.max_nets = max(map(len, cost.gate_nets), default=0)
-        i64 = np.int64
-        self.hpwl = kernel.bind(
-            kernel.Hpwl, rows=cost.rows, cols=cost.cols, boxes=cost._boxes,
-            grp_ptr=np.asarray(grp_ptr, i64), grp_net=np.asarray(grp_net, i64),
-            off_ptr=np.asarray(off_ptr, i64), off=np.asarray(off, i64),
-            pin_ptr=np.asarray(pin_ptr, i64), pin_gate=np.asarray(pin_gate, i64),
-            pin_off=np.asarray(pin_off, i64),
-        )
-        self.h = ctypes.addressof(self.hpwl)
-
-    def rung(self, k: int, **fields):
-        """Kernel buffers for pricing up to ``k`` candidates, plus
-        ``fields`` (the annealer's window and commit state)."""
-        e = k * self.max_nets
-        return kernel.bind(
-            kernel.Rung,
-            pick=np.zeros(k, np.int64), trs=np.zeros(k, np.int64),
-            tcs=np.zeros(k, np.int64), idx=np.arange(k, dtype=np.int64),
-            deltas=np.zeros(k), ebeg=np.zeros(k + 1, np.int64),
-            ent_net=np.zeros(e, np.int64), nb=np.zeros(8 * e, np.int64),
-            **fields,
-        )
-
-    def propose_batch(
-        self, gis: np.ndarray, trs: np.ndarray, tcs: np.ndarray
-    ) -> np.ndarray:
-        """Exact deltas for K hypothetical moves; commits nothing.
-
-        All candidates are priced against the *current* cache state,
-        independently of each other.  Targets may be any cells; gate
-        indices must be in range (the kernel indexes with them).
-        """
-        k = len(gis)
-        if k and not 0 <= min(gis) <= max(gis) < len(self.cost.names):
-            raise IndexError(f"gate index out of range 0..{len(self.cost.names) - 1}")
-        w = self.rung(k)
-        for name, arr in (("pick", gis), ("trs", trs), ("tcs", tcs)):
-            np.copyto(w.arrays[name], arr)
-        self.lib.price(self.h, ctypes.addressof(w), k)
-        return w.arrays["deltas"]
-
-
 def default_anneal_steps(n_gates: int) -> int:
     """The annealing budget :func:`anneal_placement` uses when unset."""
     return max(600, 80 * n_gates)
@@ -806,20 +586,86 @@ def _accept_table(temps: list[float], span: int) -> np.ndarray:
     return np.exp(-np.arange(span + 1.0) / t)
 
 
-def _csr(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Ragged index lists as (row pointers, flat values)."""
-    ptr = np.zeros(len(lists) + 1, dtype=np.int64)
-    np.cumsum([len(xs) for xs in lists], out=ptr[1:])
-    return ptr, np.asarray([x for xs in lists for x in xs], dtype=np.int64)
+def _ptr(keys: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointers of ``n`` rows, for entries sorted by row ``keys``."""
+    ptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=ptr[1:])
+    return ptr
+
+
+def _anneal_tables(design: MappedDesign) -> dict:
+    """The kernel's static tables for annealing ``design``, cached per
+    design so retry attempts and die fallbacks build them once.
+
+    The nets are :func:`_net_pins`' nets, then one single-pin net per
+    gate whose output has no sinks.  Such a net never has a span, but it
+    is one of its gate's nets: it counts toward ``max_nets`` (the accept
+    table's width) and its conflict screen lets a rung commit at most
+    one move of the gate.
+    """
+    def compute(d):
+        nets, names, sinks, starts, src, off = _net_pins(d)
+        n, m = len(names), len(nets)
+        widths = np.array([d.gates[g].width for g in names], np.int32)
+        lens = np.diff(starts, append=len(sinks))
+        driven = np.flatnonzero(src >= 0)
+        lone = np.setdiff1d(np.arange(n), src[driven])
+        # Every pin as (net, gate, column offset): a source pin sits on
+        # its gate's output cell, a sink pin on its gate's input cell.
+        pin_net = np.concatenate(
+            [driven, np.repeat(np.arange(m), lens), m + np.arange(len(lone))]
+        )
+        pin_gate = np.concatenate([src[driven], sinks, lone])
+        pin_off = np.concatenate(
+            [off[driven], np.zeros(len(sinks), np.intp), widths[lone] - 1]
+        )
+        by_net = np.argsort(pin_net, kind="stable")
+        # Gate -> its nets, each with the column offsets of the gate's
+        # pins on it (a gate may read one net through several pins).
+        by_gate = np.lexsort((pin_net, pin_gate))
+        g, k = pin_gate[by_gate], pin_net[by_gate]
+        first = np.ones(len(g), bool)
+        first[1:] = (g[1:] != g[:-1]) | (k[1:] != k[:-1])
+        # Gate -> gate edges, deduplicated, bound the dominance windows.
+        e_src = np.repeat(src, lens)
+        fed = e_src >= 0
+        edge_src, edge_dst = np.divmod(np.unique(e_src[fed] * n + sinks[fed]), n)
+        return {
+            "names": names, "nets": nets,
+            # Only 1-wide gates move (pair macros stay where the seed
+            # spread them: compacting them trades HPWL for congestion).
+            "movable": np.flatnonzero(widths == 1),
+            "max_nets": int(np.bincount(g[first]).max(initial=0)),
+            "cell_gate": np.repeat(np.arange(n), widths),
+            "cell_off": np.arange(widths.sum()) - np.repeat(
+                np.cumsum(widths) - widths, widths
+            ),
+            "hpwl": {
+                "grp_ptr": _ptr(g[first], n), "grp_net": k[first],
+                "off_ptr": np.append(np.flatnonzero(first), len(g)),
+                "off": pin_off[by_gate], "pin_ptr": _ptr(pin_net, m + len(lone)),
+                "pin_gate": pin_gate[by_net], "pin_off": pin_off[by_net],
+            },
+            "windows": {
+                "widths": widths, "fi_ptr": _ptr(edge_dst, n),
+                "fi": edge_src[np.argsort(edge_dst, kind="stable")],
+                "fo_ptr": _ptr(edge_src, n), "fo": edge_dst,
+            },
+        }
+
+    return design.memo("anneal_tables", compute)
 
 
 class _AnnealContext:
-    """The annealer's working state (cache, occupancy, windows).
+    """The annealer's state, in the arrays the kernel reads and writes.
 
-    Everything :func:`anneal_placement` needs: the exact
-    :class:`IncrementalHpwl` cache, the occupancy grid, fan-in/fan-out
-    lists for the dominance windows, best-state tracking, and the
-    kernel buffers one rung fills.
+    Per call: gate positions, every net's bounding box with the number
+    of pins on each of its four edges, the occupancy grid, the running
+    and best totals and the best positions.  The rest is the design's
+    :func:`_anneal_tables`.  The kernel keeps the boxes exact in O(1)
+    per pin of a moved gate, rescanning a net only when a move empties
+    one of its edges, so ``total[0]`` always equals :func:`hpwl` of the
+    current positions.
     """
 
     def __init__(
@@ -828,47 +674,68 @@ class _AnnealContext:
         placement: Placement,
         blocked: frozenset[tuple[int, int]] | None = None,
     ) -> None:
-        region = placement.region
-        self.region = region
-        self.cost = IncrementalHpwl(design, placement)
-        cost = self.cost
-        names = cost.names
-        rows, cols, widths = cost.rows, cost.cols, cost.widths
-        self.occupied = np.full(
-            (region.row + region.n_rows, region.col + region.n_cols),
-            -1, dtype=np.int32,
-        )
+        t = self.tables = _anneal_tables(design)
+        region = self.region = placement.region
+        self.names, self.movable = t["names"], t["movable"]
+        positions = placement.positions
+        rows, cols = np.array(
+            [positions[g] for g in self.names], np.int32
+        ).T.copy()
+        # Boxes as rmin rmax cmin cmax, then the pin count on each edge.
+        h = t["hpwl"]
+        pins = np.stack([rows[h["pin_gate"]], cols[h["pin_gate"]] + h["pin_off"]], 1)
+        starts = h["pin_ptr"][:-1]
+        lo, hi = np.minimum.reduceat(pins, starts), np.maximum.reduceat(pins, starts)
+        edges = np.stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]], 1)
+        on = pins[:, [0, 0, 1, 1]] == np.repeat(edges, np.diff(h["pin_ptr"]), 0)
+        self.boxes = np.hstack([edges, np.add.reduceat(on, starts, dtype=np.int64)])
+        self.total = np.full(2, float((hi - lo).sum()))  # running, best
         # Dead sites (defect maps) are marked with a -2 sentinel: the
         # screen and the commit both accept only empty (-1) or
         # self-occupied targets, so every move onto a blocked cell is
         # rejected for free.
+        self.occupied = np.full(
+            (region.row + region.n_rows, region.col + region.n_cols),
+            -1, np.int32,
+        )
         if blocked:
-            nr, nc = self.occupied.shape
-            for br, bc in blocked:
-                if 0 <= br < nr and 0 <= bc < nc:
-                    self.occupied[br, bc] = -2
-        for i in range(len(names)):
-            self.occupied[rows[i], cols[i]:cols[i] + widths[i]] = i
+            dead = np.array(list(blocked)).reshape(-1, 2)
+            dead = dead[((dead >= 0) & (dead < self.occupied.shape)).all(1)]
+            self.occupied[dead[:, 0], dead[:, 1]] = -2
+        cell = t["cell_gate"]
+        self.occupied[rows[cell], cols[cell] + t["cell_off"]] = cell
+        self.best_rows, self.best_cols = rows.copy(), cols.copy()
+        self.lib = kernel.load()
+        self.hpwl = kernel.bind(
+            kernel.Hpwl, rows=rows, cols=cols, boxes=self.boxes, **h
+        )
+        self.h = ctypes.addressof(self.hpwl)
 
-        # Fan-in / fan-out gate indices bounding each gate's legal window.
-        fanins: list[list[int]] = [[] for _ in names]
-        fanouts: list[list[int]] = [[] for _ in names]
-        for g in design.gates.values():
-            gi = cost.index[g.name]
-            for net in dict.fromkeys(g.inputs):
-                src = design.source_of.get(net)
-                if src is not None and src != g.name:
-                    si = cost.index[src]
-                    fanins[gi].append(si)
-                    fanouts[si].append(gi)
-        # Only 1-wide gates move (pair macros stay where the seed
-        # spread them — compacting them trades HPWL for congestion).
-        self.movable = np.nonzero(widths == 1)[0].astype(np.int64)
-        self.fanins = _csr(fanins)
-        self.fanouts = _csr(fanouts)
-        self.evaluator = BatchMoveEvaluator(cost)
-        self.best_rows = rows.copy()
-        self.best_cols = cols.copy()
+    def rung(self, k: int):
+        """The kernel's ``Rung`` for up to ``k`` candidates: fresh draw,
+        window and pricing buffers over this context's grid, totals and
+        best state."""
+        region, e = self.region, k * self.tables["max_nets"]
+
+        def zeros(size: int = k) -> np.ndarray:
+            return np.zeros(size, np.int64)
+
+        return kernel.bind(
+            kernel.Rung,
+            pick=zeros(), trs=zeros(), tcs=zeros(),
+            lo_r=zeros(), hi_r1=zeros(), lo_c=zeros(), hi_c1=zeros(),
+            ok=np.zeros(k, np.uint8),
+            row_lo=region.row, row_hi=region.row + region.n_rows - 1,
+            col_lo=region.col, col_hi=region.col + region.n_cols - 1,
+            occupied=self.occupied, occ_cols=self.occupied.shape[1],
+            idx=np.arange(k, dtype=np.int64), deltas=np.zeros(k),
+            ebeg=zeros(k + 1), ent_net=zeros(e), nb=zeros(8 * e),
+            accept=np.zeros(k, np.uint8),
+            touched=zeros(len(self.boxes)), committed=zeros(),
+            total=self.total, best_rows=self.best_rows,
+            best_cols=self.best_cols, n_gates=len(self.names),
+            **self.tables["windows"],
+        )
 
     def run_batches(
         self,
@@ -890,7 +757,7 @@ class _AnnealContext:
         an earlier commit of the same rung (which also covers stale
         dominance windows — a moved fan-in/fan-out always shares a net
         with the gate), or when its target cell was claimed meanwhile.
-        Commits apply the exact cache update, so ``cost.total`` tracks a
+        Commits apply the exact box update, so ``total[0]`` tracks a
         from-scratch recompute bit-for-bit.  Python keeps the
         cancellation checkpoint and the move log.
         """
@@ -902,29 +769,12 @@ class _AnnealContext:
             raise ValueError(
                 f"pcg needs the 6 words of _pcg_state, got {pcg.shape}"
             )
-        cost, ev, lib = self.cost, self.evaluator, self.evaluator.lib
-        region = self.region
-        total = np.array([cost.total, cost.total])
-        w = ev.rung(
-            k,
-            lo_r=np.zeros(k, np.int64), hi_r1=np.zeros(k, np.int64),
-            lo_c=np.zeros(k, np.int64), hi_c1=np.zeros(k, np.int64),
-            ok=np.zeros(k, np.uint8), widths=cost.widths,
-            fi_ptr=self.fanins[0], fi=self.fanins[1],
-            fo_ptr=self.fanouts[0], fo=self.fanouts[1],
-            row_lo=region.row, row_hi=region.row + region.n_rows - 1,
-            col_lo=region.col, col_hi=region.col + region.n_cols - 1,
-            occupied=self.occupied, occ_cols=self.occupied.shape[1],
-            accept=np.zeros(k, np.uint8),
-            touched=np.zeros(len(cost.net_names), np.int64),
-            committed=np.zeros(k, np.int64), total=total,
-            best_rows=self.best_rows, best_cols=self.best_cols,
-            n_gates=len(cost.names),
-        )
-        # A delta is an integer of at most max_nets spans, none longer
-        # than the region's half-perimeter.
+        region, lib = self.region, self.lib
+        w = self.rung(k)
+        # A delta is an integer of at most max_nets spans (the most nets
+        # one gate touches), none longer than the region's half-perimeter.
         table = _accept_table(
-            temps, ev.max_nets * (region.n_rows + region.n_cols - 2)
+            temps, self.tables["max_nets"] * (region.n_rows + region.n_cols - 2)
         )
         draw = kernel.bind(
             kernel.Draw, pcg=pcg, movable=self.movable,
@@ -934,7 +784,7 @@ class _AnnealContext:
         a = w.arrays
         pick, trs, tcs, idx = a["pick"], a["trs"], a["tcs"], a["idx"]
         deltas = a["deltas"]
-        h, wp, dp = ev.h, ctypes.addressof(w), ctypes.addressof(draw)
+        h, wp, dp = self.h, ctypes.addressof(w), ctypes.addressof(draw)
         for rung in range(1, len(temps) + 1):
             # Cooperative cancellation: a service deadline cancels
             # between temperature rungs (one batch is bounded work).
@@ -950,10 +800,9 @@ class _AnnealContext:
                 for j in a["committed"][:done].tolist():
                     c = int(idx[j])
                     move_log.append((
-                        cost.names[pick[c]], (int(trs[c]), int(tcs[c])),
+                        self.names[pick[c]], (int(trs[c]), int(tcs[c])),
                         float(deltas[j]),
                     ))
-        cost.total = float(total[0])
         return {
             "evaluated": k * len(temps),
             "accepted": accepted,
@@ -965,10 +814,9 @@ class _AnnealContext:
             region=self.region,
             positions={
                 name: (int(self.best_rows[i]), int(self.best_cols[i]))
-                for i, name in enumerate(self.cost.names)
+                for i, name in enumerate(self.names)
             },
         )
-
 
 def anneal_placement(
     design: MappedDesign,
@@ -988,8 +836,8 @@ def anneal_placement(
     above by its fan-outs' input cells — so every accepted state stays
     legal by construction (the greedy seed is legal, and a window move
     cannot break an edge that was satisfied).  Cost deltas come from the
-    cached :class:`IncrementalHpwl` bounding boxes — exact, so the
-    trajectory for a seed is identical to a full recompute.
+    kernel's cached per-net bounding boxes (:class:`_AnnealContext`) —
+    exact, so the trajectory for a seed is identical to a full recompute.
 
     Candidates are drawn and priced ``batch_moves`` at a time — one
     temperature rung per batch, Metropolis acceptance applied greedily

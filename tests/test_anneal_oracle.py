@@ -49,30 +49,13 @@ def numpy_run_batches(self, temps, pcg, batch_moves, move_log=None):
     accepted = 0
     if not len(self.movable):
         return {"evaluated": 0, "accepted": 0, "batches": 0}
-    cost, ev, lib = self.cost, self.evaluator, self.evaluator.lib
-    region = self.region
-    total = np.array([cost.total, cost.total])
-    w = ev.rung(
-        k,
-        lo_r=np.zeros(k, np.int64), hi_r1=np.zeros(k, np.int64),
-        lo_c=np.zeros(k, np.int64), hi_c1=np.zeros(k, np.int64),
-        ok=np.zeros(k, np.uint8), widths=cost.widths,
-        fi_ptr=self.fanins[0], fi=self.fanins[1],
-        fo_ptr=self.fanouts[0], fo=self.fanouts[1],
-        row_lo=region.row, row_hi=region.row + region.n_rows - 1,
-        col_lo=region.col, col_hi=region.col + region.n_cols - 1,
-        occupied=self.occupied, occ_cols=self.occupied.shape[1],
-        accept=np.zeros(k, np.uint8),
-        touched=np.zeros(len(cost.net_names), np.int64),
-        committed=np.zeros(k, np.int64), total=total,
-        best_rows=self.best_rows, best_cols=self.best_cols,
-        n_gates=len(cost.names),
-    )
+    lib = self.lib
+    w = self.rung(k)
     a = w.arrays
     pick, trs, tcs, idx = a["pick"], a["trs"], a["tcs"], a["idx"]
     lo_r, hi_r1, lo_c, hi_c1 = a["lo_r"], a["hi_r1"], a["lo_c"], a["hi_c1"]
     deltas, accept = a["deltas"], a["accept"].view(bool)
-    h, wp = ev.h, ctypes.addressof(w)
+    h, wp = self.h, ctypes.addressof(w)
     movable, n_mov = self.movable, len(self.movable)
     for rung, temp in enumerate(temps, 1):
         np.take(movable, gen.integers(0, n_mov, k), out=pick)
@@ -93,10 +76,9 @@ def numpy_run_batches(self, temps, pcg, batch_moves, move_log=None):
             for j in a["committed"][:done].tolist():
                 c = int(idx[j])
                 move_log.append((
-                    cost.names[pick[c]], (int(trs[c]), int(tcs[c])),
+                    self.names[pick[c]], (int(trs[c]), int(tcs[c])),
                     float(d[j]),
                 ))
-    cost.total = float(total[0])
     st = gen.bit_generator.state
     s, inc, m = st["state"]["state"], st["state"]["inc"], (1 << 64) - 1
     pcg[:] = [s >> 64, s & m, inc >> 64, inc & m, st["has_uint32"],

@@ -9,7 +9,8 @@ anneal around dead cells, and a design whose gates read one net through
 several pins (``nand(a, a)``), which the pricing must handle exactly,
 plus a default-budget rca8 and a mul3 on a sampled defective die
 (recorded before the rung's draws and accept test moved into the
-kernel).
+kernel), and constants that drive primary outputs only (recorded
+before the kernel's tables were built with numpy).
 
 A digest may only change in a commit that means to change the anneal
 trajectory (the rng stream, the move set or the accept rule), and that
@@ -48,6 +49,18 @@ def multi_pin_design():
     design._finalise()
     assert picked
     return design
+
+
+def rca4_with_constant_outputs():
+    """rca4 plus constants that drive primary outputs only.  A constant's
+    output net has no sinks and so no span, but it is the gate's only
+    net, and the commit screen's per-net conflicts let a rung move the
+    gate at most once."""
+    netlist = ripple_carry_netlist(4)
+    for i in range(3):
+        netlist.add("const", f"k{i}", [], netlist.add_output(f"k{i}_o"),
+                    value=i % 2)
+    return netlist
 
 
 def blocked_cells(n: int) -> frozenset[tuple[int, int]]:
@@ -90,8 +103,11 @@ def suggested_region(design) -> Region:
          "a2750ec787c34219451b7be995e54447f7afc5c7e7dfcd17d2bcd154352cef1e"),
         (lambda: ripple_carry_netlist(8), 4,
          "fc65670e42a68aa61df7e3e323436478a6f9681fa88fb589e0a116f277e822f9"),
+        (rca4_with_constant_outputs, 0,
+         "ada22eaa7784b88c125399fcac3accbcc2f75f1dfa817f15a42ee49f4ce52c9f"),
     ],
-    ids=["rca5-seed0", "rca5-seed1", "rca5-seed2", "mul3-seed2", "rca8-seed4"],
+    ids=["rca5-seed0", "rca5-seed1", "rca5-seed2", "mul3-seed2", "rca8-seed4",
+         "const-outputs-seed0"],
 )
 def test_default_anneal_trajectory_is_pinned(make, seed, digest):
     design = map_netlist(make())

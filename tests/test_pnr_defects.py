@@ -667,3 +667,18 @@ def test_open_defect_rca8_die_seed_788060227():
             ripple_carry_netlist(8),
             sample_defect_map(31, 31, cell_fail=0.002, seed=788060227),
         )
+
+
+@pytest.mark.xfail(strict=True, raises=PnrError, reason=(
+    "open defect: four dead cells leave gate 'fa2_2.x2' of mul3 no legal "
+    "cell in its dominance window on its 24x24 die"
+))
+def test_open_defect_mul3_die_seed_392():
+    from repro.datapath.multiplier import array_multiplier_netlist
+    from repro.service import CompileService
+
+    die = sample_defect_map(24, 24, cell_fail=0.002, seed=392)
+    # Pin the die itself, so a change in the sampler cannot move it.
+    assert sorted(die.dead_cells) == [(8, 2), (18, 14), (21, 4), (22, 9)]
+    with CompileService(workers=0) as svc:
+        svc.compile_for_die(array_multiplier_netlist(3), die)

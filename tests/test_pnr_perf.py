@@ -2,9 +2,12 @@
 
 Covers the correctness contracts the perf rework leans on:
 
-* the cached delta-HPWL structure (:class:`repro.pnr.place.IncrementalHpwl`)
-  stays *exactly* equal to a from-scratch ``hpwl()``
-  recompute after any random move sequence (hypothesis property);
+* the anneal kernel's cached per-net bounding boxes (built by
+  ``repro.pnr.place._AnnealContext``, updated by ``price`` and ``commit``
+  in ``_anneal.c``) stay *exactly* equal to the from-scratch ``hpwl()``
+  and ``net_spans()`` after any random move sequence, and every delta
+  it prices or commits equals the from-scratch difference (hypothesis
+  properties);
 * the annealing temperature ladder starts at ``t_start`` (step 0 used to
   run one cooling step below it);
 * greedy seeding is bit-reproducible for a seed, and whole compiles are
@@ -14,6 +17,7 @@ Covers the correctness contracts the perf rework leans on:
   serial compile.
 """
 
+import ctypes
 import gc
 import random
 from array import array as array_i
@@ -37,9 +41,8 @@ from repro.pnr import kernel
 from repro.pnr.flow import suggest_array
 from repro.pnr.parallel import parallel_map, resolve_workers
 from repro.pnr.place import (
-    BatchMoveEvaluator,
-    IncrementalHpwl,
     Placement,
+    _AnnealContext,
     anneal_placement,
     anneal_temperatures,
     hpwl,
@@ -47,7 +50,7 @@ from repro.pnr.place import (
     net_spans,
 )
 from repro.pnr.route import NetRoute, Router
-from test_anneal_pins import multi_pin_design
+from test_anneal_pins import blocked_cells, multi_pin_design
 
 
 def small_design():
@@ -65,38 +68,97 @@ def seeded_placement(design):
 # Incremental cost correctness
 # ----------------------------------------------------------------------
 
+def cached_spans(ctx):
+    """Every net's span as the kernel caches it, by net name."""
+    b = ctx.boxes
+    spans = ((b[:, 1] - b[:, 0]) + (b[:, 3] - b[:, 2])).tolist()
+    nets = ctx.tables["nets"]
+    # Past the nets with sinks come the sinkless outputs: one pin each.
+    assert not any(spans[len(nets):])
+    return dict(zip(nets, spans))
+
+
+def moved(placement, name, target):
+    """``placement`` with gate ``name`` at ``target``."""
+    return Placement(
+        region=placement.region,
+        positions={**placement.positions, name: target},
+    )
+
+
 class TestIncrementalHpwl:
     def test_initial_total_matches_scratch(self):
         design = small_design()
         _, _, placement = seeded_placement(design)
-        inc = IncrementalHpwl(design, placement)
-        assert inc.total == pytest.approx(hpwl(design, placement))
+        ctx = _AnnealContext(design, placement)
+        assert ctx.total[0] == ctx.total[1] == hpwl(design, placement)
+
+    @pytest.mark.parametrize("which", ["rca4", "multi-pin", "blocked"])
+    def test_initial_boxes_match_net_spans(self, which):
+        """The context's numpy-built boxes and grid match the from-scratch
+        spans and the placement, also around a blocked die."""
+        design = small_design() if which == "rca4" else multi_pin_design()
+        blocked = blocked_cells(20) if which == "blocked" else None
+        if blocked:
+            region = Region("t", 0, 0, 20, 20)
+            placement = initial_placement(
+                design, region, random.Random(0), blocked=blocked
+            )
+        else:
+            _, region, placement = seeded_placement(design)
+        ctx = _AnnealContext(design, placement, blocked=blocked)
+        assert cached_spans(ctx) == net_spans(design, placement)
+        # The edge pin counts: too high and a move that empties an edge
+        # keeps a stale box; too low and it rescans for nothing.
+        pos = placement.positions
+        for k, net in enumerate(ctx.tables["nets"]):
+            pins = [pos[g] for g, _pin in design.sinks_of[net]]
+            src = design.source_of.get(net)
+            if src is not None:
+                r, c = pos[src]
+                pins.append((r, c + design.gates[src].width - 1))
+            rs, cs = [r for r, _ in pins], [c for _, c in pins]
+            assert ctx.boxes[k, 4:].tolist() == [
+                rs.count(min(rs)), rs.count(max(rs)),
+                cs.count(min(cs)), cs.count(max(cs)),
+            ], net
+        want = np.full(ctx.occupied.shape, -1)
+        for r, c in blocked or ():
+            want[r, c] = -2
+        for i, name in enumerate(ctx.names):
+            r, c = placement.positions[name]
+            want[r, c:c + design.gates[name].width] = i
+        assert (ctx.occupied == want).all()
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 30),
                               st.integers(0, 30)), min_size=1, max_size=60))
     def test_delta_equals_scratch_after_any_move_sequence(self, moves):
-        """Property: cached total == hpwl() recomputed, move by move.
+        """Property: the kernel's cached total and every net's cached span
+        equal hpwl() and net_spans() recomputed, move by move.
 
-        Cost math does not care about legality, so moves land anywhere
-        in the region — including on top of other gates — and the cache
-        must stay exact regardless.
+        Each move is one candidate through the kernel's ``price`` and
+        ``commit``, accepted, one rung each.  Targets are any cells of
+        the region; the commit refuses a target another gate holds, and
+        the cache must then be unchanged.
         """
         design = small_design()
         _, region, placement = seeded_placement(design)
-        inc = IncrementalHpwl(design, placement)
-        names = list(design.gates)
-        positions = dict(placement.positions)
-        for pick, r, c in moves:
-            name = names[pick % len(names)]
+        ctx = _AnnealContext(design, placement)
+        w = ctx.rung(1)
+        a, wp = w.arrays, ctypes.addressof(w)
+        a["accept"][0] = 1
+        movable = ctx.movable.tolist()
+        for rung, (pick, r, c) in enumerate(moves, 1):
+            gi = movable[pick % len(movable)]
             target = (region.row + r % region.n_rows,
                       region.col + c % region.n_cols)
-            inc.move(name, target)
-            positions[name] = target
-            scratch = hpwl(
-                design, Placement(region=region, positions=positions)
-            )
-            assert inc.total == pytest.approx(scratch), (name, target)
+            a["pick"][0], (a["trs"][0], a["tcs"][0]) = gi, target
+            ctx.lib.price(ctx.h, wp, 1)
+            if ctx.lib.commit(ctx.h, wp, 1, rung):
+                placement = moved(placement, ctx.names[gi], target)
+            assert ctx.total[0] == hpwl(design, placement), (gi, target)
+            assert cached_spans(ctx) == net_spans(design, placement)
 
 
 # ----------------------------------------------------------------------
@@ -111,8 +173,8 @@ class TestBatchedEvaluator:
     )
     def test_batched_deltas_match_sequential_replay(self, seed, k):
         """Property: every delta the batched annealer committed is exactly
-        the delta a fresh ``IncrementalHpwl`` computes replaying the same
-        move sequence one move at a time — for any seed and batch size."""
+        the from-scratch hpwl() difference of replaying the same move
+        sequence one move at a time — for any seed and batch size."""
         design = small_design()
         _, _, placement = seeded_placement(design)
         log: list = []
@@ -120,10 +182,13 @@ class TestBatchedEvaluator:
             design, placement, random.Random(seed), batch_moves=k,
             move_log=log,
         )
-        replay = IncrementalHpwl(design, placement)
+        cost = hpwl(design, placement)
         for name, target, delta in log:
-            assert replay.move(name, target) == delta, (name, target)
-        assert replay.total == pytest.approx(hpwl(design, refined))
+            placement = moved(placement, name, target)
+            after = hpwl(design, placement)
+            assert after - cost == delta, (name, target)
+            cost = after
+        assert cost == pytest.approx(hpwl(design, refined))
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -131,20 +196,26 @@ class TestBatchedEvaluator:
         st.sampled_from(["rca4", "multi-pin"]),
     )
     def test_propose_batch_matches_scalar_propose(self, seed, k, which):
-        """propose_batch prices exactly like k scalar propose() calls,
-        also for gates that read one net through several pins."""
+        """The kernel's ``price`` gives each of k candidates, priced
+        against one state, the from-scratch hpwl() delta of moving that
+        one gate, also for gates that read one net through several
+        pins."""
         design = small_design() if which == "rca4" else multi_pin_design()
         _, region, placement = seeded_placement(design)
-        cost = IncrementalHpwl(design, placement)
-        evaluator = BatchMoveEvaluator(cost)
+        ctx = _AnnealContext(design, placement)
+        w = ctx.rung(k)
+        a = w.arrays
         gen = np.random.Generator(np.random.PCG64(seed))
-        gis = gen.integers(0, len(cost.names), k)
-        trs = gen.integers(region.row, region.row + region.n_rows, k)
-        tcs = gen.integers(region.col, region.col + region.n_cols, k)
-        deltas = evaluator.propose_batch(gis, trs, tcs)
+        a["pick"][:] = gen.integers(0, len(ctx.names), k)
+        a["trs"][:] = gen.integers(region.row, region.row + region.n_rows, k)
+        a["tcs"][:] = gen.integers(region.col, region.col + region.n_cols, k)
+        ctx.lib.price(ctx.h, ctypes.addressof(w), k)
+        base = hpwl(design, placement)
         for j in range(k):
-            want, _ = cost.propose(int(gis[j]), int(trs[j]), int(tcs[j]))
-            assert deltas[j] == want, (j, int(gis[j]))
+            name = ctx.names[a["pick"][j]]
+            target = (int(a["trs"][j]), int(a["tcs"][j]))
+            want = hpwl(design, moved(placement, name, target)) - base
+            assert a["deltas"][j] == want, (j, name)
 
     def test_batched_cache_equals_scratch_after_anneal(self):
         design = small_design()
